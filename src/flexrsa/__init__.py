@@ -6,12 +6,11 @@ an exhaustive test oracle, and a seeded dynamic-traffic simulator.
 
 from .heuristic import PolicyParams, Request, Route, Solution, assign_spectrum, compute_fiber_paths, serve
 from .physics import FiberParams, gvd_differential_delay_ps, propagation_delay_ps, slot_width_nm
-from .spectrum import KERNEL_IMPL, SlotRange, SpectrumPath, SpectrumState
+from .spectrum import SlotRange, SpectrumPath, SpectrumState
 from .topology import Link, Network, TopologyError, dump_topology, load_topology
 
 __all__ = [
     "FiberParams",
-    "KERNEL_IMPL",
     "Link",
     "Network",
     "PolicyParams",

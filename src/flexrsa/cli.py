@@ -190,6 +190,8 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     for key in ("dispersion", "fc_thz", "slot_ghz", "speed_kms"):
         cfg[key] = float(_merged(args, scenario, key, float))
     cfg["jobs"] = int(_merged(args, scenario, "jobs", int))
+    if cfg["jobs"] < 1:
+        raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
     cfg["out"] = _merged(args, scenario, "out")
     cfg["bg_tr"] = _merged(args, scenario, "bg_tr")
     cfg["probe_tr"] = _merged(args, scenario, "probe_tr")
@@ -201,7 +203,40 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _sim_cell(cell: dict) -> sim.Metrics:
+def _grid_cells(cfg: dict, trs: list, **extra) -> list[dict]:
+    """One cell per (mode, k, gb, tr, load, seed), nested in that order."""
+    text = _read_topology(cfg["topology"])
+    fiber = _fiber(cfg)
+    return [
+        {
+            "topology_text": text,
+            "slots": cfg["slots"],
+            "speed_kms": cfg["speed_kms"],
+            "fiber": fiber,
+            "mode": mode,
+            "policy": label,
+            "m_us": m_us,
+            "k": k,
+            "gb": gb,
+            "tr": tr,
+            "load": load,
+            "seed": seed,
+            "requests": cfg["requests"],
+            "warmup": cfg["warmup"],
+            "arrival_rate": cfg["arrival_rate"],
+            **extra,
+        }
+        for label, mode, m_us in cfg["modes"]
+        for k in cfg["ks"]
+        for gb in cfg["gbs"]
+        for tr in trs
+        for load in cfg["loads"]
+        for seed in cfg["seeds"]
+    ]
+
+
+def _cell_inputs(cell: dict) -> tuple:
+    """The (net, traffic, policy) that one grid cell simulates."""
     net = load_topology(
         cell["topology_text"],
         slots_per_link=cell["slots"],
@@ -221,33 +256,21 @@ def _sim_cell(cell: dict) -> sim.Metrics:
         gb=cell["gb"],
         max_dd_ps=int(round(cell["m_us"] * 1e6)),
     )
-    return sim.run(net, traffic, policy, cell["fiber"])
+    return net, traffic, policy
+
+
+def _row_params(cell: dict) -> dict:
+    """Output columns shared by every grid CSV."""
+    return {key: cell[key] for key in ("load", "policy", "m_us", "k", "gb", "seed")}
+
+
+def _sim_cell(cell: dict) -> sim.Metrics:
+    return sim.run(*_cell_inputs(cell), cell["fiber"])
 
 
 def _probe_cell(cell: dict) -> sim.ProbeMetrics:
-    net = load_topology(
-        cell["topology_text"],
-        slots_per_link=cell["slots"],
-        propagation_speed_km_s=cell["speed_kms"],
-    )
-    traffic = sim.TrafficConfig(
-        mean_holding=cell["load"] / cell["arrival_rate"],
-        requests=cell["requests"],
-        seed=cell["seed"],
-        arrival_rate=cell["arrival_rate"],
-        demand=cell["tr"],
-        warmup_frac=cell["warmup"],
-    )
-    policy = PolicyParams(
-        mode=cell["mode"],
-        k=cell["k"],
-        gb=cell["gb"],
-        max_dd_ps=int(round(cell["m_us"] * 1e6)),
-    )
     return sim.probe_run(
-        net,
-        traffic,
-        policy,
+        *_cell_inputs(cell),
         cell["fiber"],
         probe_demand=cell["probe_tr"],
         probes=cell["probes"],
@@ -256,7 +279,7 @@ def _probe_cell(cell: dict) -> sim.ProbeMetrics:
 
 
 def _run_grid(cells: list[dict], worker, jobs: int) -> list:
-    if jobs <= 1:
+    if jobs == 1:
         return [worker(c) for c in cells]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, cells))
@@ -264,47 +287,12 @@ def _run_grid(cells: list[dict], worker, jobs: int) -> list:
 
 def cmd_simulate(args) -> int:
     cfg = _common_grid_config(args)
-    text = _read_topology(cfg["topology"])
-    fiber = _fiber(cfg)
-    cells = []
-    for label, mode, m_us in cfg["modes"]:
-        for k in cfg["ks"]:
-            for gb in cfg["gbs"]:
-                for tr in cfg["trs"]:
-                    for load in cfg["loads"]:
-                        for seed in cfg["seeds"]:
-                            cells.append(
-                                {
-                                    "topology_text": text,
-                                    "slots": cfg["slots"],
-                                    "speed_kms": cfg["speed_kms"],
-                                    "fiber": fiber,
-                                    "mode": mode,
-                                    "policy": label,
-                                    "m_us": m_us,
-                                    "k": k,
-                                    "gb": gb,
-                                    "tr": tr,
-                                    "load": load,
-                                    "seed": seed,
-                                    "requests": cfg["requests"],
-                                    "warmup": cfg["warmup"],
-                                    "arrival_rate": cfg["arrival_rate"],
-                                }
-                            )
+    cells = _grid_cells(cfg, cfg["trs"])
     results = _run_grid(cells, _sim_cell, cfg["jobs"])
-    entries = []
-    for cell, metrics in zip(cells, results):
-        params = {
-            "load": cell["load"],
-            "policy": cell["policy"],
-            "m_us": cell["m_us"],
-            "k": cell["k"],
-            "gb": cell["gb"],
-            "tr": _tr_label(cell["tr"]),
-            "seed": cell["seed"],
-        }
-        entries.append((params, metrics))
+    entries = [
+        ({**_row_params(cell), "tr": _tr_label(cell["tr"])}, metrics)
+        for cell, metrics in zip(cells, results)
+    ]
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "metrics.csv"), sim.metrics_csv(entries))
     _write_atomic(os.path.join(out, "path_dist.csv"), sim.distribution_csv(entries))
@@ -325,54 +313,28 @@ def cmd_simulate(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = _common_grid_config(args)
-    text = _read_topology(cfg["topology"])
-    fiber = _fiber(cfg)
-    bg_tr = _parse_tr(cfg["bg_tr"])
     probe_tr = _parse_tr(cfg["probe_tr"])
     if isinstance(probe_tr, int):
         probe_tr = (probe_tr, probe_tr)
-    cells = []
-    for label, mode, m_us in cfg["modes"]:
-        for k in cfg["ks"]:
-            for gb in cfg["gbs"]:
-                for load in cfg["loads"]:
-                    for seed in cfg["seeds"]:
-                        cells.append(
-                            {
-                                "topology_text": text,
-                                "slots": cfg["slots"],
-                                "speed_kms": cfg["speed_kms"],
-                                "fiber": fiber,
-                                "mode": mode,
-                                "policy": label,
-                                "m_us": m_us,
-                                "k": k,
-                                "gb": gb,
-                                "tr": bg_tr,
-                                "load": load,
-                                "seed": seed,
-                                "requests": cfg["requests"],
-                                "warmup": cfg["warmup"],
-                                "arrival_rate": cfg["arrival_rate"],
-                                "probe_tr": probe_tr,
-                                "probes": cfg["probes"],
-                                "spacing": cfg["spacing"],
-                            }
-                        )
+    cells = _grid_cells(
+        cfg,
+        [_parse_tr(cfg["bg_tr"])],
+        probe_tr=probe_tr,
+        probes=cfg["probes"],
+        spacing=cfg["spacing"],
+    )
     results = _run_grid(cells, _probe_cell, cfg["jobs"])
-    entries = []
-    for cell, pm in zip(cells, results):
-        params = {
-            "load": cell["load"],
-            "policy": cell["policy"],
-            "m_us": cell["m_us"],
-            "k": cell["k"],
-            "gb": cell["gb"],
-            "bg_tr": _tr_label(cell["tr"]),
-            "probe_tr": _tr_label(cell["probe_tr"]),
-            "seed": cell["seed"],
-        }
-        entries.append((params, pm))
+    entries = [
+        (
+            {
+                **_row_params(cell),
+                "bg_tr": _tr_label(cell["tr"]),
+                "probe_tr": _tr_label(cell["probe_tr"]),
+            },
+            pm,
+        )
+        for cell, pm in zip(cells, results)
+    ]
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "probe.csv"), sim.probe_csv(entries))
     print(f"{'load':>8} {'policy':>8} {'k':>4} {'probe_blocking':>15}")

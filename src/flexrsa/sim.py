@@ -122,18 +122,21 @@ def _draw_requests(net: Network, traffic: TrafficConfig) -> list[Request]:
     return out
 
 
-def run(
+def _simulate(
     net: Network,
     traffic: TrafficConfig,
     policy: PolicyParams,
-    fiber_params: FiberParams | None = None,
+    fiber_params: FiberParams | None,
     *,
     audit: bool = False,
+    after_arrival: Callable[[int, SpectrumState, dict], None] | None = None,
 ) -> Metrics:
-    """One seeded simulation; departures at an arrival instant release first.
+    """The event loop behind :func:`run` and :func:`probe_run`.
 
-    The first warmup fraction of requests is excluded from the metrics; all
-    departures are drained at the end and the spectrum must come back empty.
+    Departures due at an arrival instant release first.  ``after_arrival``
+    sees each arrival's index counted from the first measured one (negative
+    during warm-up), the live ledger and the route cache, once ``serve`` has
+    handled the arrival.
     """
     state = SpectrumState(net)
     path_cache: dict = {}
@@ -167,6 +170,8 @@ def run(
                 metrics.served += 1
                 n = len(solution.paths)
                 metrics.path_histogram[n] = metrics.path_histogram.get(n, 0) + 1
+        if after_arrival is not None:
+            after_arrival(i - warmup, state, path_cache)
 
     while departures:
         _, _, ids = heapq.heappop(departures)
@@ -177,6 +182,24 @@ def run(
     if metrics.offered != metrics.served + metrics.blocked:
         raise SimError("offered != served + blocked")
     return metrics
+
+
+def run(
+    net: Network,
+    traffic: TrafficConfig,
+    policy: PolicyParams,
+    fiber_params: FiberParams | None = None,
+    *,
+    audit: bool = False,
+) -> Metrics:
+    """One seeded simulation.
+
+    The first warmup fraction of requests is excluded from the metrics; all
+    departures are drained at the end and the spectrum must come back empty.
+    With ``audit`` every admission is checked against the delay bound and
+    the ledger invariants.
+    """
+    return _simulate(net, traffic, policy, fiber_params, audit=audit)
 
 
 def probe_run(
@@ -192,42 +215,34 @@ def probe_run(
     """Admissibility probes against a live background, without mutating state.
 
     Background traffic runs as in :func:`run`; once past warm-up, every
-    ``spacing``-th arrival is followed by one probe (random pair, demand
-    drawn from ``probe_demand``) that is planned but never allocated.
+    ``spacing``-th arrival is followed by one probe (pair drawn like the
+    background's, demand drawn from ``probe_demand``) that is planned but
+    never allocated.
     """
-    state = SpectrumState(net)
-    path_cache: dict = {}
-    requests = _draw_requests(net, traffic)
+    if spacing < 1:
+        raise ValueError(f"probe spacing must be >= 1, got {spacing}")
+    if probes < 0:
+        raise ValueError(f"probe count must be >= 0, got {probes}")
     probe_pairs = _stream(traffic.seed, "probe-pairs")
     probe_demand_rng = _stream(traffic.seed, "probe-demand")
-    pairs = list(permutations(net.nodes, 2))
-    warmup = int(traffic.requests * traffic.warmup_frac)
-    departures: list[tuple[float, int, tuple[int, ...]]] = []
+    pairs = _pair_table(net, traffic)
     done = 0
     blocked = 0
 
-    for i, req in enumerate(requests):
-        while departures and departures[0][0] <= req.arrival:
-            _, _, ids = heapq.heappop(departures)
-            for aid in ids:
-                state.release(aid)
-        solution = serve(
-            state, net, req, policy, fiber_params=fiber_params, path_cache=path_cache
-        )
-        if solution is not None:
-            ids = tuple(p.allocation_id for p in solution.paths)
-            heapq.heappush(departures, (req.arrival + req.holding, i, ids))
-        if i >= warmup and done < probes and (i - warmup) % spacing == 0:
-            src, dst = pairs[probe_pairs.randrange(len(pairs))]
-            tr = probe_demand_rng.randint(*probe_demand)
-            probe = Request(src, dst, tr)
-            key = (src, dst, policy.k)
-            if key not in path_cache:
-                path_cache[key] = compute_fiber_paths(net, src, dst, policy.k)
-            plan = assign_spectrum(state, path_cache[key], probe, policy)
-            done += 1
-            if plan is None:
-                blocked += 1
+    def probe(pos: int, state: SpectrumState, path_cache: dict) -> None:
+        nonlocal done, blocked
+        if pos < 0 or done >= probes or pos % spacing:
+            return
+        src, dst = pairs[probe_pairs.randrange(len(pairs))]
+        req = Request(src, dst, probe_demand_rng.randint(*probe_demand))
+        key = (src, dst, policy.k)
+        if key not in path_cache:
+            path_cache[key] = compute_fiber_paths(net, src, dst, policy.k)
+        done += 1
+        if assign_spectrum(state, path_cache[key], req, policy) is None:
+            blocked += 1
+
+    _simulate(net, traffic, policy, fiber_params, after_arrival=probe)
     return ProbeMetrics(done, blocked)
 
 

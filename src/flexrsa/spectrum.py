@@ -5,30 +5,17 @@ sharing an arc must keep a nearest-slot index distance strictly greater than
 GB, i.e. at least GB free slots between them.  GB=0 therefore permits
 adjacency.  The spectrum edges (slot 0 and slot F-1) need no guard.
 
-The inner scan (``free_blocks``) is the hot kernel of the whole package; it
-runs compiled when the Cython extension built, with a numpy fallback chosen
-at import time (force the fallback with FLEXRSA_PURE_KERNELS=1).
+The inner scan (``free_blocks``) is the hot kernel of the whole package.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .topology import Link, Network
-
-if os.environ.get("FLEXRSA_PURE_KERNELS"):
-    from . import _kernels_py as _kernels
-else:
-    try:
-        from . import _kernels_c as _kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _kernels
-
-KERNEL_IMPL: str = _kernels.IMPL
 
 
 class SpectrumError(Exception):
@@ -97,18 +84,42 @@ class SpectrumState:
         self.net = net
         self.slots = net.slots_per_link
         self._occ = np.zeros((net.num_arcs, self.slots), dtype=np.uint8)
-        self._owner = np.zeros((net.num_arcs, self.slots), dtype=np.int64)
         self._allocs: dict[int, _Alloc] = {}
         self._next_id = 1
 
     # -- queries ---------------------------------------------------------
 
     def free_blocks(self, fiber_path: Sequence[Link] | np.ndarray, gb: int) -> list[SlotRange]:
-        """Maximal ranges free on every arc after guard-band shrinking."""
+        """Maximal ranges free on every arc after guard-band shrinking.
+
+        A free run loses ``gb`` slots on each side that touches an occupied
+        slot; spectrum edges need no guard.  Sorted by start.
+        """
         if gb < 0:
             raise SpectrumError(f"negative guard band: {gb}")
         arcs = _arc_indices(fiber_path)
-        return [SlotRange(s, n) for s, n in _kernels.free_blocks_on_path(self._occ, arcs, gb)]
+        slots = self.slots
+        if len(arcs) == 1:
+            merged = self._occ[arcs[0]] != 0
+        else:
+            merged = self._occ[arcs].any(axis=0)
+
+        # Run boundaries: pad with occupied sentinels, diff flags transitions.
+        padded = np.empty(slots + 2, dtype=np.int8)
+        padded[0] = padded[-1] = 1
+        padded[1:-1] = merged
+        edges = np.flatnonzero(np.diff(padded))
+        blocks: list[SlotRange] = []
+        for k in range(0, len(edges), 2):
+            start = int(edges[k])  # first free slot of the run
+            end = int(edges[k + 1]) - 1  # last free slot of the run
+            if start > 0:
+                start += gb
+            if end < slots - 1:
+                end -= gb
+            if end >= start:
+                blocks.append(SlotRange(start, end - start + 1))
+        return blocks
 
     def largest_free_block(self, fiber_path: Sequence[Link] | np.ndarray, gb: int) -> SlotRange | None:
         blocks = self.free_blocks(fiber_path, gb)
@@ -155,7 +166,6 @@ class SpectrumState:
         aid = self._next_id
         self._next_id += 1
         self._occ[arcs, rng.start : rng.start + rng.length] = 1
-        self._owner[arcs, rng.start : rng.start + rng.length] = aid
         self._allocs[aid] = _Alloc(tuple(int(a) for a in arcs), rng)
         return aid
 
@@ -165,16 +175,13 @@ class SpectrumState:
         except KeyError:
             raise SpectrumError(f"unknown allocation id {allocation_id}") from None
         arcs = np.fromiter(alloc.arc_ids, dtype=np.int64, count=len(alloc.arc_ids))
-        sl = slice(alloc.range.start, alloc.range.start + alloc.range.length)
-        self._occ[arcs, sl] = 0
-        self._owner[arcs, sl] = 0
+        self._occ[arcs, alloc.range.start : alloc.range.start + alloc.range.length] = 0
 
     def copy(self) -> "SpectrumState":
         clone = SpectrumState.__new__(SpectrumState)
         clone.net = self.net
         clone.slots = self.slots
         clone._occ = self._occ.copy()
-        clone._owner = self._owner.copy()
         clone._allocs = dict(self._allocs)
         clone._next_id = self._next_id
         return clone
@@ -183,17 +190,15 @@ class SpectrumState:
 
     def audit(self, gb: int = 0) -> None:
         """Check ledger invariants; raises SpectrumError on any breach."""
-        owner = np.zeros_like(self._owner)
-        for aid, alloc in self._allocs.items():
+        owned = np.zeros(self._occ.shape, dtype=bool)
+        for alloc in self._allocs.values():
             sl = slice(alloc.range.start, alloc.range.start + alloc.range.length)
             for arc in alloc.arc_ids:
-                if owner[arc, sl].any():
+                if owned[arc, sl].any():
                     raise SpectrumError(f"slot owned twice on arc {arc}")
-                owner[arc, sl] = aid
-        if not np.array_equal(owner != 0, self._occ != 0):
+                owned[arc, sl] = True
+        if not np.array_equal(owned, self._occ != 0):
             raise SpectrumError("occupancy bitmap out of sync with allocations")
-        if not np.array_equal(owner, self._owner):
-            raise SpectrumError("owner table out of sync with allocations")
         allocs = list(self._allocs.values())
         for i, a in enumerate(allocs):
             for b in allocs[i + 1 :]:

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from flexrsa.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -152,6 +154,25 @@ class TestProbeCommand:
         assert len(lines) == 1 + 2 * 2  # header + k-values * seeds
         for line in lines[1:]:
             assert int(line.split(",")[8]) == 20
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--spacing", "0"], "spacing"),
+            (["--probes", "-5"], "probe count"),
+            (["--jobs", "0"], "jobs"),
+            (["--jobs", "-2"], "jobs"),
+        ],
+    )
+    def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
+        rc = main(
+            ["probe", "--topology", "us", "--slots", "16", "--k", "5", "--load", "30",
+             "--seeds", "0..0", "--requests", "100", "--out", str(tmp_path / "p")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "p" / "probe.csv").exists()
 
 
 class TestExportIlp:

@@ -3,9 +3,11 @@ from importlib import resources
 
 import pytest
 
+from flexrsa import sim
 from flexrsa.heuristic import PolicyParams, Request, serve
 from flexrsa.sim import (
     Metrics,
+    ProbeMetrics,
     TrafficConfig,
     distribution_csv,
     metrics_csv,
@@ -155,15 +157,44 @@ class TestProbe:
         assert pm1.probes == 40
         assert 0 <= pm1.blocked <= pm1.probes
 
-    def test_probes_do_not_mutate_outcome(self):
-        # background metrics with probes must match a plain run's admissions
+    def test_probes_do_not_mutate_outcome(self, monkeypatch):
+        # probes are planned, never allocated: the background admits exactly
+        # what a plain run admits, decision by decision
         traffic = TrafficConfig(mean_holding=30.0, requests=1000, seed=6, demand=(1, 4), warmup_frac=0.0)
         policy = PolicyParams(mode="pt", k=6)
-        plain = run(US16, traffic, policy)
+
+        def recording(log):
+            def recorded(*args, **kwargs):
+                solution = serve(*args, **kwargs)
+                log.append(None if solution is None else tuple(
+                    (tuple(a.id for a in band.arcs), band.range) for band in solution.paths
+                ))
+                return solution
+            return recorded
+
+        plain, probed = [], []
+        monkeypatch.setattr(sim, "serve", recording(plain))
+        run(US16, traffic, policy)
+        monkeypatch.setattr(sim, "serve", recording(probed))
         with_probes = probe_run(US16, traffic, policy, probe_demand=(4, 6), probes=30, spacing=10)
-        plain2 = run(US16, traffic, policy)
-        assert plain.blocked == plain2.blocked  # probe_run left no trace anywhere
+        assert len(plain) == traffic.requests
+        assert probed == plain
         assert with_probes.probes == 30
+
+    def test_probes_honour_sd_pairs(self):
+        # A-B is the only offered pair; probes to unreachable pairs would block
+        net = make_net([("A", "B", 100), ("C", "D", 100)], slots=8)
+        traffic = TrafficConfig(mean_holding=0.5, requests=200, seed=0, demand=1, sd_pairs=(("A", "B"),))
+        pm = probe_run(net, traffic, PolicyParams(mode="pt", k=2), probe_demand=(1, 1), probes=20, spacing=5)
+        assert pm == ProbeMetrics(20, 0)
+
+    def test_probe_arguments_validated(self):
+        traffic = TrafficConfig(mean_holding=1.0, requests=10, seed=0)
+        policy = PolicyParams(mode="pt", k=2)
+        with pytest.raises(ValueError, match="spacing"):
+            probe_run(US16, traffic, policy, probe_demand=(1, 1), probes=5, spacing=0)
+        with pytest.raises(ValueError, match="probe count"):
+            probe_run(US16, traffic, policy, probe_demand=(1, 1), probes=-5)
 
 
 class TestCsv:
@@ -191,8 +222,6 @@ class TestCsv:
         assert total == entries[0][1].served
 
     def test_probe_csv_header(self):
-        from flexrsa.sim import ProbeMetrics
-
         params = {"load": 30.0, "policy": "pt1", "m_us": 128000.0, "k": 10, "gb": 1,
                   "bg_tr": "1-4", "probe_tr": "4-6", "seed": 0}
         text = probe_csv([(params, ProbeMetrics(50, 7))])

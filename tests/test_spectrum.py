@@ -1,19 +1,10 @@
 import random
 
-import numpy as np
 import pytest
 
-from flexrsa import _kernels_py
-from flexrsa.spectrum import SlotRange, SpectrumError, ConflictError, SpectrumState
+from flexrsa.spectrum import SlotRange, SpectrumError, ConflictError, SpectrumState, _Alloc
 
 from util import make_net, oracle_blocks, occupancy_rows, paint
-
-try:
-    from flexrsa import _kernels_c
-except ImportError:
-    _kernels_c = None
-
-KERNELS = [_kernels_py] + ([_kernels_c] if _kernels_c else [])
 
 
 def single_arc_state(slots=16):
@@ -64,34 +55,26 @@ class TestFreeBlocks:
         paint(state, path[0], "11111111")
         assert state.free_blocks(path, 0) == []
 
-
-class TestKernels:
-    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.IMPL)
-    def test_against_brute_force(self, kernel):
+    def test_against_brute_force(self):
         rng = random.Random(42)
         for _ in range(300):
             arcs = rng.randint(1, 4)
             slots = rng.randint(1, 40)
             gb = rng.randint(0, 3)
-            occ = (np.array(
-                [[rng.random() < 0.35 for _ in range(slots)] for _ in range(arcs)]
-            )).astype(np.uint8)
-            idx = np.arange(arcs, dtype=np.int64)
-            got = kernel.free_blocks_on_path(occ, idx, gb)
-            rows = ["".join("1" if x else "0" for x in row) for row in occ]
-            assert got == oracle_blocks(rows, gb), (rows, gb)
-
-    @pytest.mark.skipif(_kernels_c is None, reason="compiled kernel unavailable")
-    def test_compiled_matches_fallback(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            arcs = rng.randint(1, 6)
-            slots = rng.randint(1, 144)
-            occ = (np.random.default_rng(rng.randrange(2**32)).random((arcs, slots)) < 0.3).astype(np.uint8)
-            idx = np.arange(arcs, dtype=np.int64)
-            for gb in (0, 1, 2, 3):
-                assert _kernels_c.free_blocks_on_path(occ, idx, gb) == \
-                    _kernels_py.free_blocks_on_path(occ, idx, gb)
+            rows = [
+                "".join("1" if rng.random() < 0.35 else "0" for _ in range(slots))
+                for _ in range(arcs)
+            ]
+            nodes = "ABCDE"
+            net = make_net([(nodes[i], nodes[i + 1], 100) for i in range(arcs)], slots=slots)
+            path = tuple(
+                next(l for l in net.outgoing(nodes[i]) if l.dst == nodes[i + 1])
+                for i in range(arcs)
+            )
+            state = SpectrumState(net)
+            for link, bits in zip(path, rows):
+                paint(state, link, bits)
+            assert state.free_blocks(path, gb) == oracle_blocks(rows, gb), (rows, gb)
 
 
 class TestAllocate:
@@ -216,6 +199,32 @@ class TestProperties:
         for aid in live:
             state.release(aid)
         assert state.is_all_free()
+
+    def test_audit_catches_tampered_ledger(self):
+        _, state, path = single_arc_state()
+        state.allocate(path, SlotRange(2, 3), 1)
+        state.audit(1)
+
+        stray = state.copy()
+        stray._occ[path[0].id, 10] = 1  # occupied slot no allocation owns
+        with pytest.raises(SpectrumError, match="out of sync"):
+            stray.audit(1)
+
+        cleared = state.copy()
+        cleared._occ[path[0].id, 3] = 0  # owned slot missing from the bitmap
+        with pytest.raises(SpectrumError, match="out of sync"):
+            cleared.audit(1)
+
+        doubled = state.copy()
+        doubled._allocs[98] = _Alloc((path[0].id,), SlotRange(4, 1))  # slot 4 owned twice
+        with pytest.raises(SpectrumError, match="owned twice"):
+            doubled.audit(1)
+
+        crowded = state.copy()
+        crowded._allocs[99] = _Alloc((path[0].id,), SlotRange(5, 2))  # adjacent under gb=1
+        crowded._occ[path[0].id, 5:7] = 1
+        with pytest.raises(SpectrumError, match="guard violation"):
+            crowded.audit(1)
 
     def test_copy_is_independent(self):
         _, state, path = single_arc_state(8)
