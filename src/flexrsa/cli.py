@@ -181,7 +181,6 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     cfg["modes"] = _parse_modes(_merged(args, scenario, "mode"), cfg["max_dd_us"])
     cfg["ks"] = _parse_list(_merged(args, scenario, "k"), int)
     cfg["gbs"] = _parse_list(_merged(args, scenario, "gb"), int)
-    cfg["trs"] = _parse_list(_merged(args, scenario, "tr"), _parse_tr)
     cfg["loads"] = _parse_list(_merged(args, scenario, "load"), float)
     cfg["seeds"] = _parse_seeds(_merged(args, scenario, "seeds"))
     cfg["requests"] = int(_merged(args, scenario, "requests", int))
@@ -193,17 +192,29 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     if cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
     cfg["out"] = _merged(args, scenario, "out")
-    cfg["bg_tr"] = _merged(args, scenario, "bg_tr")
-    cfg["probe_tr"] = _merged(args, scenario, "probe_tr")
     cfg["probes"] = int(_merged(args, scenario, "probes", int))
     cfg["spacing"] = int(_merged(args, scenario, "spacing", int))
-    for tr in cfg["trs"]:
+    if args.command == "probe":
+        # the grid's demand axis is the background; probes draw from probe_tr
+        cfg["trs"] = [_parse_tr(_merged(args, scenario, "bg_tr"))]
+        probe_tr = _parse_tr(_merged(args, scenario, "probe_tr"))
+        cfg["probe_tr"] = (probe_tr, probe_tr) if isinstance(probe_tr, int) else probe_tr
+        demands = cfg["trs"] + [cfg["probe_tr"]]
+    else:
+        cfg["trs"] = _parse_list(_merged(args, scenario, "tr"), _parse_tr)
+        demands = cfg["trs"]
+    axes = {"modes": "mode", "ks": "k", "gbs": "gb", "trs": "tr",
+            "loads": "load", "seeds": "seeds"}
+    for axis, key in axes.items():
+        if not cfg[axis]:
+            raise ConfigError(f"empty grid: {key} gives no values")
+    for tr in demands:
         if _tr_max(tr) > cfg["slots"]:
             raise ConfigError(f"demand {_tr_label(tr)} exceeds {cfg['slots']} slots per link")
     return cfg
 
 
-def _grid_cells(cfg: dict, trs: list, **extra) -> list[dict]:
+def _grid_cells(cfg: dict, **extra) -> list[dict]:
     """One cell per (mode, k, gb, tr, load, seed), nested in that order."""
     text = _read_topology(cfg["topology"])
     fiber = _fiber(cfg)
@@ -229,7 +240,7 @@ def _grid_cells(cfg: dict, trs: list, **extra) -> list[dict]:
         for label, mode, m_us in cfg["modes"]
         for k in cfg["ks"]
         for gb in cfg["gbs"]
-        for tr in trs
+        for tr in cfg["trs"]
         for load in cfg["loads"]
         for seed in cfg["seeds"]
     ]
@@ -287,7 +298,7 @@ def _run_grid(cells: list[dict], worker, jobs: int) -> list:
 
 def cmd_simulate(args) -> int:
     cfg = _common_grid_config(args)
-    cells = _grid_cells(cfg, cfg["trs"])
+    cells = _grid_cells(cfg)
     results = _run_grid(cells, _sim_cell, cfg["jobs"])
     entries = [
         ({**_row_params(cell), "tr": _tr_label(cell["tr"])}, metrics)
@@ -313,13 +324,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = _common_grid_config(args)
-    probe_tr = _parse_tr(cfg["probe_tr"])
-    if isinstance(probe_tr, int):
-        probe_tr = (probe_tr, probe_tr)
     cells = _grid_cells(
         cfg,
-        [_parse_tr(cfg["bg_tr"])],
-        probe_tr=probe_tr,
+        probe_tr=cfg["probe_tr"],
         probes=cfg["probes"],
         spacing=cfg["spacing"],
     )

@@ -1,12 +1,20 @@
 """Two-phase RSA: min-delay multipath enumeration, then spectrum assignment.
 
-Phase 1 grows loop-free paths best-first by total delay (ties broken by the
-lexicographic node sequence) until K complete paths are found.  Phase 2 tries
-a single band on each path in delay order first; in multipath mode it then
-aggregates free fragments across paths, keeping every candidate whose path
-delay exceeds the earliest candidate's by at most the differential-delay
-bound M.  Dispersion skew is deliberately ignored in that check; only path
-diversity counts here.
+Phase 1 enumerates loop-free paths in nondecreasing delay order (ties broken
+by the node sequence, then arc ids) until K complete paths are found.  The
+search is goal-directed best-first (A*): one reverse Dijkstra gives every
+node's exact min delay to the destination, a prefix is ranked by its delay
+plus that bound, and prefixes that cannot reach the destination are never
+grown.  The bound is consistent and 0 at the destination, and every prefix
+of a path ranks strictly before the path itself, so complete paths pop in
+exactly the (delay, nodes, arc ids) order of a plain best-first search; only
+prefixes ranked before the K-th path are grown.
+
+Phase 2 tries a single band on each path in delay order first; in multipath
+mode it then aggregates free fragments across paths, keeping every candidate
+whose path delay exceeds the earliest candidate's by at most the
+differential-delay bound M.  Dispersion skew is deliberately ignored in that
+check; only path diversity counts here.
 """
 
 from __future__ import annotations
@@ -98,6 +106,25 @@ class Solution:
         return max(delays) - min(delays)
 
 
+def _delays_to(net: Network, destination: str) -> dict[str, int]:
+    """Exact min delay to ``destination`` from every node that can reach it."""
+    incoming: dict[str, list[Link]] = {}
+    for link in net.links:
+        incoming.setdefault(link.dst, []).append(link)
+    dist = {destination: 0}
+    heap = [(0, destination)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for link in incoming.get(v, ()):
+            reached = d + link.delay_ps
+            if link.src not in dist or reached < dist[link.src]:
+                dist[link.src] = reached
+                heapq.heappush(heap, (reached, link.src))
+    return dist
+
+
 def compute_fiber_paths(
     net: Network,
     source: str,
@@ -117,14 +144,16 @@ def compute_fiber_paths(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
+    bound = _delays_to(net, destination)
     found: list[Route] = []
     expansions = 0
-    # heap key: (delay, node sequence, arc-id sequence); payload: arcs
-    frontier: list[tuple[int, tuple[str, ...], tuple[int, ...], tuple[Link, ...]]] = [
-        (0, (source,), (), ())
-    ]
+    # heap key: (delay + bound at head, node sequence, arc-id sequence);
+    # payload: delay so far, arcs.  Keys are unique, so payloads never compare.
+    frontier: list[tuple[int, tuple[str, ...], tuple[int, ...], int, tuple[Link, ...]]] = (
+        [(bound[source], (source,), (), 0, ())] if source in bound else []
+    )
     while frontier and len(found) < k:
-        delay, nodes, _arc_ids, arcs = heapq.heappop(frontier)
+        _key, nodes, arc_ids, delay, arcs = heapq.heappop(frontier)
         expansions += 1
         head = nodes[-1]
         if head == destination:
@@ -132,14 +161,17 @@ def compute_fiber_paths(
             continue
         visited = set(nodes)
         for link in net.outgoing(head):
-            if link.dst in visited:
+            rest = bound.get(link.dst)
+            if rest is None or link.dst in visited:
                 continue
+            reached = delay + link.delay_ps
             heapq.heappush(
                 frontier,
                 (
-                    delay + link.delay_ps,
+                    reached + rest,
                     nodes + (link.dst,),
-                    _arc_ids + (link.id,),
+                    arc_ids + (link.id,),
+                    reached,
                     arcs + (link,),
                 ),
             )

@@ -65,6 +65,20 @@ class TestSimulate:
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, axis",
+        [(["--seeds", "0..-1"], "seeds"), (["--load", ","], "load"), (["--k", ","], "k")],
+    )
+    def test_empty_grid_rejected(self, tmp_path, capsys, flags, axis):
+        rc = main(
+            ["simulate", "--topology", "us", "--slots", "16", "--tr", "2", "--load", "10",
+             "--seeds", "0..0", "--requests", "50", "--out", str(tmp_path / "o")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"empty grid: {axis} gives no values" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
     def test_scenario_file_with_override(self, tmp_path):
         scn = tmp_path / "s.scn"
         scn.write_text(
@@ -172,6 +186,44 @@ class TestProbeCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not (tmp_path / "p" / "probe.csv").exists()
+
+
+    def test_demands_checked_against_slots(self, tmp_path):
+        # the background and probe demands fit 8 slots; simulate's default tr
+        # (10) would not, and must not be checked here
+        out = tmp_path / "p"
+        rc = main(
+            ["probe", "--topology", "abilene", "--slots", "8", "--k", "3",
+             "--bg-tr", "1-2", "--probe-tr", "2-3", "--load", "5", "--seeds", "0..0",
+             "--requests", "100", "--probes", "5", "--spacing", "5", "--out", str(out)]
+        )
+        assert rc == 0
+        assert (out / "probe.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, demand",
+        [(["--bg-tr", "30-40"], "30-40"), (["--probe-tr", "4-17"], "4-17")],
+    )
+    def test_demand_exceeding_slots_rejected(self, tmp_path, capsys, flags, demand):
+        rc = main(
+            ["probe", "--topology", "us", "--slots", "16", "--k", "5", "--load", "30",
+             "--seeds", "0..0", "--requests", "100", "--out", str(tmp_path / "p")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"demand {demand} exceeds 16 slots per link" in err
+        assert not (tmp_path / "p" / "probe.csv").exists()
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        rc = main(
+            ["probe", "--topology", "us", "--slots", "16", "--k", "5", "--load", "30",
+             "--seeds", "0..-1", "--requests", "100", "--out", str(tmp_path / "p")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "empty grid: seeds gives no values" in err
         assert not (tmp_path / "p" / "probe.csv").exists()
 
 
