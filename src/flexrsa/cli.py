@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
@@ -81,15 +82,15 @@ def _parse_seeds(token: str) -> list[int]:
     return list(range(int(token)))
 
 
-def _parse_tr(token: str) -> int | tuple[int, int]:
-    token = str(token).strip()
-    if "-" in token:
-        lo, hi = token.split("-", 1)
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ConfigError(f"bad demand range {token!r}")
-        return (lo, hi)
-    return int(token)
+_DEMAND = re.compile(r"([0-9]+)(?:\s*-\s*([0-9]+))?")
+
+
+def _parse_tr(key: str, token: str) -> int | tuple[int, int]:
+    """A demand ``N`` or range ``lo-hi`` with ``1 <= lo <= hi``."""
+    m = _DEMAND.fullmatch(str(token).strip())
+    if m is None or int(m[1]) < 1 or (m[2] is not None and int(m[2]) < int(m[1])):
+        raise ConfigError(f"bad {key} {token!r}: expected N or lo-hi with 1 <= lo <= hi")
+    return int(m[1]) if m[2] is None else (int(m[1]), int(m[2]))
 
 
 def _tr_max(tr: int | tuple[int, int]) -> int:
@@ -196,12 +197,12 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     cfg["spacing"] = int(_merged(args, scenario, "spacing", int))
     if args.command == "probe":
         # the grid's demand axis is the background; probes draw from probe_tr
-        cfg["trs"] = [_parse_tr(_merged(args, scenario, "bg_tr"))]
-        probe_tr = _parse_tr(_merged(args, scenario, "probe_tr"))
+        cfg["trs"] = [_parse_tr("bg_tr", _merged(args, scenario, "bg_tr"))]
+        probe_tr = _parse_tr("probe_tr", _merged(args, scenario, "probe_tr"))
         cfg["probe_tr"] = (probe_tr, probe_tr) if isinstance(probe_tr, int) else probe_tr
         demands = cfg["trs"] + [cfg["probe_tr"]]
     else:
-        cfg["trs"] = _parse_list(_merged(args, scenario, "tr"), _parse_tr)
+        cfg["trs"] = _parse_list(_merged(args, scenario, "tr"), lambda t: _parse_tr("tr", t))
         demands = cfg["trs"]
     axes = {"modes": "mode", "ks": "k", "gbs": "gb", "trs": "tr",
             "loads": "load", "seeds": "seeds"}

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 from .physics import FiberParams, gvd_differential_delay_ps
 from .spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
 from .topology import Link, Network
@@ -71,15 +69,11 @@ class PolicyParams:
 
 @dataclass(frozen=True)
 class Route:
-    """A fiber-level path with its delay and cached arc-index array."""
+    """A fiber-level path with its delay and cached arc-id set."""
 
     arcs: tuple[Link, ...]
     nodes: tuple[str, ...]
     delay_ps: int
-
-    @cached_property
-    def arc_idx(self) -> np.ndarray:
-        return np.fromiter((a.id for a in self.arcs), dtype=np.int64, count=len(self.arcs))
 
     @cached_property
     def arc_id_set(self) -> frozenset[int]:
@@ -205,7 +199,7 @@ def assign_spectrum(
     block_lists: list[list[SlotRange]] = []
 
     for route in routes:
-        blocks = state.free_blocks(route.arc_idx, gb)
+        blocks = state.free_blocks(route.arcs, gb)
         inspections += len(route.arcs) * state.slots
         block_lists.append(blocks)
         if blocks:

@@ -5,15 +5,16 @@ sharing an arc must keep a nearest-slot index distance strictly greater than
 GB, i.e. at least GB free slots between them.  GB=0 therefore permits
 adjacency.  The spectrum edges (slot 0 and slot F-1) need no guard.
 
-The inner scan (``free_blocks``) is the hot kernel of the whole package.
+Each arc's occupancy is one Python ``int``: bit i set means slot i is taken.
+A path's occupancy is the OR of its arcs' masks, so the inner scan
+(``free_blocks``, the hot kernel of the whole package) reads free runs off
+one integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .topology import Link, Network
 
@@ -57,17 +58,18 @@ class _Alloc:
     range: SlotRange
 
 
-def _arc_indices(fiber_path: Sequence[Link] | np.ndarray) -> np.ndarray:
-    if isinstance(fiber_path, np.ndarray):
-        if fiber_path.size == 0:
-            raise SpectrumError("empty path")
-        return fiber_path
+def _arc_ids(fiber_path: Sequence[Link]) -> tuple[int, ...]:
     if len(fiber_path) == 0:
         raise SpectrumError("empty path")
     for a, b in zip(fiber_path, fiber_path[1:]):
         if a.dst != b.src:
             raise SpectrumError(f"arcs {a.id} and {b.id} are not consecutive")
-    return np.fromiter((link.id for link in fiber_path), dtype=np.int64, count=len(fiber_path))
+    return tuple(link.id for link in fiber_path)
+
+
+def _mask(start: int, length: int) -> int:
+    """Bits ``start .. start+length-1`` set."""
+    return ((1 << length) - 1) << start
 
 
 def ranges_clear(a: SlotRange, b: SlotRange, gb: int) -> bool:
@@ -83,13 +85,13 @@ class SpectrumState:
     def __init__(self, net: Network):
         self.net = net
         self.slots = net.slots_per_link
-        self._occ = np.zeros((net.num_arcs, self.slots), dtype=np.uint8)
+        self._occ: list[int] = [0] * net.num_arcs
         self._allocs: dict[int, _Alloc] = {}
         self._next_id = 1
 
     # -- queries ---------------------------------------------------------
 
-    def free_blocks(self, fiber_path: Sequence[Link] | np.ndarray, gb: int) -> list[SlotRange]:
+    def free_blocks(self, fiber_path: Sequence[Link], gb: int) -> list[SlotRange]:
         """Maximal ranges free on every arc after guard-band shrinking.
 
         A free run loses ``gb`` slots on each side that touches an occupied
@@ -97,45 +99,36 @@ class SpectrumState:
         """
         if gb < 0:
             raise SpectrumError(f"negative guard band: {gb}")
-        arcs = _arc_indices(fiber_path)
+        taken = 0
+        for arc in _arc_ids(fiber_path):
+            taken |= self._occ[arc]
         slots = self.slots
-        if len(arcs) == 1:
-            merged = self._occ[arcs[0]] != 0
-        else:
-            merged = self._occ[arcs].any(axis=0)
-
-        # Run boundaries: pad with occupied sentinels, diff flags transitions.
-        padded = np.empty(slots + 2, dtype=np.int8)
-        padded[0] = padded[-1] = 1
-        padded[1:-1] = merged
-        edges = np.flatnonzero(np.diff(padded))
+        free = ~taken & _mask(0, slots)
         blocks: list[SlotRange] = []
-        for k in range(0, len(edges), 2):
-            start = int(edges[k])  # first free slot of the run
-            end = int(edges[k + 1]) - 1  # last free slot of the run
+        while free:
+            low = free & -free
+            start = low.bit_length() - 1  # first free slot of the lowest run
+            past = free + low  # carry clears the run and sets the slot after it
+            end = (past & -past).bit_length() - 1  # one past the run's last slot
+            free &= past
             if start > 0:
                 start += gb
-            if end < slots - 1:
+            if end < slots:
                 end -= gb
-            if end >= start:
-                blocks.append(SlotRange(start, end - start + 1))
+            if end > start:
+                blocks.append(SlotRange(start, end - start))
         return blocks
-
-    def largest_free_block(self, fiber_path: Sequence[Link] | np.ndarray, gb: int) -> SlotRange | None:
-        blocks = self.free_blocks(fiber_path, gb)
-        if not blocks:
-            return None
-        return max(blocks, key=lambda b: (b.length, -b.start))
 
     def occupied_by_arc(self) -> dict[int, tuple[int, ...]]:
         """Occupied slot indices per arc id (only arcs with any occupancy)."""
-        out: dict[int, tuple[int, ...]] = {}
-        for arc_id in np.flatnonzero(self._occ.any(axis=1)):
-            out[int(arc_id)] = tuple(int(i) for i in np.flatnonzero(self._occ[arc_id]))
-        return out
+        return {
+            arc_id: tuple(i for i in range(self.slots) if mask >> i & 1)
+            for arc_id, mask in enumerate(self._occ)
+            if mask
+        }
 
     def is_all_free(self) -> bool:
-        return not self._allocs and not self._occ.any()
+        return not self._allocs and not any(self._occ)
 
     @property
     def active_allocations(self) -> int:
@@ -143,11 +136,11 @@ class SpectrumState:
 
     def occupancy_dump(self) -> str:
         """Per-arc occupancy as a 0/1 string, one arc per line (golden tests)."""
-        return "\n".join("".join("1" if x else "0" for x in row) for row in self._occ)
+        return "\n".join(format(mask, f"0{self.slots}b")[::-1] for mask in self._occ)
 
     # -- mutation --------------------------------------------------------
 
-    def allocate(self, fiber_path: Sequence[Link] | np.ndarray, rng: SlotRange, gb: int) -> int:
+    def allocate(self, fiber_path: Sequence[Link], rng: SlotRange, gb: int) -> int:
         """Atomically claim ``rng`` on every arc of the path; returns the id.
 
         Fails (without partial effects) if any slot is taken or an existing
@@ -158,15 +151,18 @@ class SpectrumState:
             raise SpectrumError(f"negative guard band: {gb}")
         if rng.length < 1 or rng.start < 0 or rng.start + rng.length > self.slots:
             raise SpectrumError(f"range {rng} outside [0, {self.slots})")
-        arcs = _arc_indices(fiber_path)
+        arcs = _arc_ids(fiber_path)
         lo = max(0, rng.start - gb)
-        hi = min(self.slots, rng.start + rng.length + gb)
-        if self._occ[arcs, lo:hi].any():
-            raise ConflictError(f"range {rng} conflicts on path {arcs.tolist()} (gb={gb})")
+        fence = _mask(lo, min(self.slots, rng.start + rng.length + gb) - lo)
+        occ = self._occ
+        if any(occ[a] & fence for a in arcs):
+            raise ConflictError(f"range {rng} conflicts on path {list(arcs)} (gb={gb})")
         aid = self._next_id
         self._next_id += 1
-        self._occ[arcs, rng.start : rng.start + rng.length] = 1
-        self._allocs[aid] = _Alloc(tuple(int(a) for a in arcs), rng)
+        band = _mask(rng.start, rng.length)
+        for a in arcs:
+            occ[a] |= band
+        self._allocs[aid] = _Alloc(arcs, rng)
         return aid
 
     def release(self, allocation_id: int) -> None:
@@ -174,14 +170,15 @@ class SpectrumState:
             alloc = self._allocs.pop(allocation_id)
         except KeyError:
             raise SpectrumError(f"unknown allocation id {allocation_id}") from None
-        arcs = np.fromiter(alloc.arc_ids, dtype=np.int64, count=len(alloc.arc_ids))
-        self._occ[arcs, alloc.range.start : alloc.range.start + alloc.range.length] = 0
+        keep = ~_mask(alloc.range.start, alloc.range.length)
+        for a in alloc.arc_ids:
+            self._occ[a] &= keep
 
     def copy(self) -> "SpectrumState":
         clone = SpectrumState.__new__(SpectrumState)
         clone.net = self.net
         clone.slots = self.slots
-        clone._occ = self._occ.copy()
+        clone._occ = list(self._occ)
         clone._allocs = dict(self._allocs)
         clone._next_id = self._next_id
         return clone
@@ -190,14 +187,14 @@ class SpectrumState:
 
     def audit(self, gb: int = 0) -> None:
         """Check ledger invariants; raises SpectrumError on any breach."""
-        owned = np.zeros(self._occ.shape, dtype=bool)
+        owned = [0] * len(self._occ)
         for alloc in self._allocs.values():
-            sl = slice(alloc.range.start, alloc.range.start + alloc.range.length)
+            band = _mask(alloc.range.start, alloc.range.length)
             for arc in alloc.arc_ids:
-                if owned[arc, sl].any():
+                if owned[arc] & band:
                     raise SpectrumError(f"slot owned twice on arc {arc}")
-                owned[arc, sl] = True
-        if not np.array_equal(owned, self._occ != 0):
+                owned[arc] |= band
+        if owned != self._occ:
             raise SpectrumError("occupancy bitmap out of sync with allocations")
         allocs = list(self._allocs.values())
         for i, a in enumerate(allocs):

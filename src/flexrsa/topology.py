@@ -9,7 +9,7 @@ Topology files are line oriented:
 Every ``link`` line is an undirected fiber pair and expands into two directed
 arcs with identical length and delay; each direction owns its own spectrum.
 Arc ids are dense integers (edge k yields arcs 2k and 2k+1), so they double
-as row indices into per-arc occupancy arrays.
+as indices into the per-arc occupancy ledger.
 """
 
 from __future__ import annotations

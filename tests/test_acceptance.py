@@ -53,7 +53,7 @@ def test_03_fragmentation_scenario():
     net, state = _fragmented_diamond()
     routes = compute_fiber_paths(net, "S", "D", 4)
     largest = [
-        max(b.length for b in state.free_blocks(r.arc_idx, 0)) for r in routes
+        max(b.length for b in state.free_blocks(r.arcs, 0)) for r in routes
     ]
     req = Request("S", "D", 4)
     st_result = assign_spectrum(state, routes, req, PolicyParams(mode="st", k=4))

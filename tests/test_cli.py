@@ -79,6 +79,26 @@ class TestSimulate:
         assert err.startswith("error:") and f"empty grid: {axis} gives no values" in err
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("value", ["-3", "2-x", "0", "4-1", "0-2"])
+    def test_bad_demand_rejected(self, tmp_path, capsys, value):
+        rc = main(
+            ["simulate", "--topology", "us", "--slots", "16", "--tr", value, "--load", "10",
+             "--seeds", "0..0", "--requests", "50", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad tr '{value}'" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text("topology = us\nslots = 16\ntr = -3\nload = 10\nseeds = 0..0\n")
+        rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad tr '-3'" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
     def test_scenario_file_with_override(self, tmp_path):
         scn = tmp_path / "s.scn"
         scn.write_text(
@@ -188,6 +208,34 @@ class TestProbeCommand:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "p" / "probe.csv").exists()
 
+
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            (["--bg-tr", "0-2"], "bg_tr", "0-2"),
+            (["--bg-tr", "2-x"], "bg_tr", "2-x"),
+            (["--probe-tr", "-3"], "probe_tr", "-3"),
+            (["--probe-tr", "0"], "probe_tr", "0"),
+        ],
+    )
+    def test_bad_demand_rejected(self, tmp_path, capsys, flags, key, value):
+        rc = main(
+            ["probe", "--topology", "us", "--slots", "16", "--k", "5", "--load", "30",
+             "--seeds", "0..0", "--requests", "100", "--out", str(tmp_path / "p")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} '{value}'" in err
+        assert not (tmp_path / "p" / "probe.csv").exists()
+
+    def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "p.scn"
+        scn.write_text("topology = us\nslots = 16\nk = 5\nload = 30\nseeds = 0..0\nbg_tr = 3-1\n")
+        rc = main(["probe", "--scenario", str(scn), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad bg_tr '3-1'" in err
+        assert not (tmp_path / "p" / "probe.csv").exists()
 
     def test_demands_checked_against_slots(self, tmp_path):
         # the background and probe demands fit 8 slots; simulate's default tr

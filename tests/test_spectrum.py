@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flexrsa
 from flexrsa.spectrum import SlotRange, SpectrumError, ConflictError, SpectrumState, _Alloc
 
 from util import make_net, oracle_blocks, occupancy_rows, paint
@@ -55,14 +60,18 @@ class TestFreeBlocks:
         paint(state, path[0], "11111111")
         assert state.free_blocks(path, 0) == []
 
-    def test_against_brute_force(self):
-        rng = random.Random(42)
+    @pytest.mark.parametrize(
+        "seed, max_slots, density", [(42, 40, 0.35), (43, 200, 0.1)], ids=["f40", "f200"]
+    )
+    def test_against_brute_force(self, seed, max_slots, density):
+        # f200 ledgers mostly span more than one 64-bit word
+        rng = random.Random(seed)
         for _ in range(300):
             arcs = rng.randint(1, 4)
-            slots = rng.randint(1, 40)
+            slots = rng.randint(1, max_slots)
             gb = rng.randint(0, 3)
             rows = [
-                "".join("1" if rng.random() < 0.35 else "0" for _ in range(slots))
+                "".join("1" if rng.random() < density else "0" for _ in range(slots))
                 for _ in range(arcs)
             ]
             nodes = "ABCDE"
@@ -175,15 +184,17 @@ class TestProperties:
                 clone.allocate(path, block, gb)  # must not raise
                 clone.audit(0)  # painted background used gb=0
 
-    def test_random_ops_keep_invariants(self):
+    @pytest.mark.parametrize("slots", [16, 130], ids=["f16", "f130"])
+    def test_random_ops_keep_invariants(self, slots):
         rng = random.Random(5)
-        net = make_net([("A", "B", 100), ("B", "C", 100)], slots=16)
+        net = make_net([("A", "B", 100), ("B", "C", 100)], slots=slots)
         a_b = net.outgoing("A")[0]
         b_c = [l for l in net.outgoing("B") if l.dst == "C"][0]
         paths = [(a_b,), (b_c,), (a_b, b_c)]
         state = SpectrumState(net)
         gb = 1
         live = []
+        touched = set()
         for _ in range(400):
             if live and rng.random() < 0.4:
                 state.release(live.pop(rng.randrange(len(live))))
@@ -195,10 +206,12 @@ class TestProperties:
                 block = blocks[rng.randrange(len(blocks))]
                 length = rng.randint(1, block.length)
                 live.append(state.allocate(path, SlotRange(block.start, length), gb))
+                touched.update(range(block.start, block.start + length))
             state.audit(gb)
         for aid in live:
             state.release(aid)
         assert state.is_all_free()
+        assert touched == set(range(slots))  # every slot, either side of bit 64, was used
 
     def test_audit_catches_tampered_ledger(self):
         _, state, path = single_arc_state()
@@ -206,12 +219,12 @@ class TestProperties:
         state.audit(1)
 
         stray = state.copy()
-        stray._occ[path[0].id, 10] = 1  # occupied slot no allocation owns
+        stray._occ[path[0].id] |= 1 << 10  # occupied slot no allocation owns
         with pytest.raises(SpectrumError, match="out of sync"):
             stray.audit(1)
 
         cleared = state.copy()
-        cleared._occ[path[0].id, 3] = 0  # owned slot missing from the bitmap
+        cleared._occ[path[0].id] &= ~(1 << 3)  # owned slot missing from the bitmap
         with pytest.raises(SpectrumError, match="out of sync"):
             cleared.audit(1)
 
@@ -222,7 +235,7 @@ class TestProperties:
 
         crowded = state.copy()
         crowded._allocs[99] = _Alloc((path[0].id,), SlotRange(5, 2))  # adjacent under gb=1
-        crowded._occ[path[0].id, 5:7] = 1
+        crowded._occ[path[0].id] |= 0b11 << 5  # slots 5 and 6
         with pytest.raises(SpectrumError, match="guard violation"):
             crowded.audit(1)
 
@@ -270,3 +283,16 @@ def test_occupancy_dump_golden():
     state = SpectrumState(net)
     state.allocate(net.outgoing("A"), SlotRange(2, 3), 0)
     assert state.occupancy_dump() == "00111000\n00000000"
+
+
+def test_import_leaves_numpy_out():
+    # the ledger is plain ints; numpy arrives only with scipy, which sim imports
+    src = Path(flexrsa.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, flexrsa; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "False"
