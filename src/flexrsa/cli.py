@@ -72,14 +72,22 @@ def _read_topology(token: str) -> str:
         raise ConfigError(f"cannot read topology {token!r}: {exc}") from exc
 
 
+def _cast(key: str, token, cast):
+    """``cast(token)``; a value it rejects is a ConfigError naming key and value."""
+    try:
+        return cast(token)
+    except ValueError:
+        raise ConfigError(f"bad {key} {token!r}: expected {cast.__name__}") from None
+
+
 def _parse_seeds(token: str) -> list[int]:
     token = str(token).strip()
     if ".." in token:
         lo, hi = token.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return list(range(_cast("seeds", lo, int), _cast("seeds", hi, int) + 1))
     if "," in token:
-        return [int(t) for t in token.split(",") if t.strip()]
-    return list(range(int(token)))
+        return _parse_list("seeds", token, int)
+    return list(range(_cast("seeds", token, int)))
 
 
 _DEMAND = re.compile(r"([0-9]+)(?:\s*-\s*([0-9]+))?")
@@ -101,14 +109,14 @@ def _tr_label(tr: int | tuple[int, int]) -> str:
     return str(tr) if isinstance(tr, int) else f"{tr[0]}-{tr[1]}"
 
 
-def _parse_list(token, parse=str) -> list:
-    return [parse(t.strip()) for t in str(token).split(",") if t.strip()]
+def _parse_list(key: str, token, cast=str) -> list:
+    return [_cast(key, t.strip(), cast) for t in str(token).split(",") if t.strip()]
 
 
 def _parse_modes(token: str, max_dd_us: float) -> list[tuple[str, str, float]]:
     """Each token becomes (label, engine mode, differential-delay bound in us)."""
     out = []
-    for tok in _parse_list(token):
+    for tok in _parse_list("mode", token):
         if tok == "st":
             out.append(("st", "st", max_dd_us))
         elif tok == "pt":
@@ -147,7 +155,7 @@ def _merged(args: argparse.Namespace, scenario: dict, key: str, cast=None):
     if cli_value is not None:
         return cli_value
     if key in scenario:
-        return cast(scenario[key]) if cast else scenario[key]
+        return _cast(key, scenario[key], cast) if cast else scenario[key]
     return _DEFAULTS[key]
 
 
@@ -177,24 +185,19 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     scenario = load_scenario(args.scenario) if getattr(args, "scenario", None) else {}
     cfg = {}
     cfg["topology"] = _merged(args, scenario, "topology")
-    cfg["slots"] = int(_merged(args, scenario, "slots", int))
-    cfg["max_dd_us"] = float(_merged(args, scenario, "max_dd_us", float))
+    cfg["max_dd_us"] = _merged(args, scenario, "max_dd_us", float)
     cfg["modes"] = _parse_modes(_merged(args, scenario, "mode"), cfg["max_dd_us"])
-    cfg["ks"] = _parse_list(_merged(args, scenario, "k"), int)
-    cfg["gbs"] = _parse_list(_merged(args, scenario, "gb"), int)
-    cfg["loads"] = _parse_list(_merged(args, scenario, "load"), float)
+    cfg["ks"] = _parse_list("k", _merged(args, scenario, "k"), int)
+    cfg["gbs"] = _parse_list("gb", _merged(args, scenario, "gb"), int)
+    cfg["loads"] = _parse_list("load", _merged(args, scenario, "load"), float)
     cfg["seeds"] = _parse_seeds(_merged(args, scenario, "seeds"))
-    cfg["requests"] = int(_merged(args, scenario, "requests", int))
-    cfg["warmup"] = float(_merged(args, scenario, "warmup", float))
-    cfg["arrival_rate"] = float(_merged(args, scenario, "arrival_rate", float))
-    for key in ("dispersion", "fc_thz", "slot_ghz", "speed_kms"):
-        cfg[key] = float(_merged(args, scenario, key, float))
-    cfg["jobs"] = int(_merged(args, scenario, "jobs", int))
+    for key in ("slots", "requests", "jobs", "probes", "spacing"):
+        cfg[key] = _merged(args, scenario, key, int)
+    for key in ("warmup", "arrival_rate", "dispersion", "fc_thz", "slot_ghz", "speed_kms"):
+        cfg[key] = _merged(args, scenario, key, float)
     if cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
     cfg["out"] = _merged(args, scenario, "out")
-    cfg["probes"] = int(_merged(args, scenario, "probes", int))
-    cfg["spacing"] = int(_merged(args, scenario, "spacing", int))
     if args.command == "probe":
         # the grid's demand axis is the background; probes draw from probe_tr
         cfg["trs"] = [_parse_tr("bg_tr", _merged(args, scenario, "bg_tr"))]
@@ -202,7 +205,8 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
         cfg["probe_tr"] = (probe_tr, probe_tr) if isinstance(probe_tr, int) else probe_tr
         demands = cfg["trs"] + [cfg["probe_tr"]]
     else:
-        cfg["trs"] = _parse_list(_merged(args, scenario, "tr"), lambda t: _parse_tr("tr", t))
+        trs = _parse_list("tr", _merged(args, scenario, "tr"))
+        cfg["trs"] = [_parse_tr("tr", t) for t in trs]
         demands = cfg["trs"]
     axes = {"modes": "mode", "ks": "k", "gbs": "gb", "trs": "tr",
             "loads": "load", "seeds": "seeds"}
@@ -216,14 +220,16 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
 
 
 def _grid_cells(cfg: dict, **extra) -> list[dict]:
-    """One cell per (mode, k, gb, tr, load, seed), nested in that order."""
-    text = _read_topology(cfg["topology"])
+    """One cell per (mode, k, gb, tr, load, seed), nested in that order, on one parsed net."""
+    net = load_topology(
+        _read_topology(cfg["topology"]),
+        slots_per_link=cfg["slots"],
+        propagation_speed_km_s=cfg["speed_kms"],
+    )
     fiber = _fiber(cfg)
     return [
         {
-            "topology_text": text,
-            "slots": cfg["slots"],
-            "speed_kms": cfg["speed_kms"],
+            "net": net,
             "fiber": fiber,
             "mode": mode,
             "policy": label,
@@ -249,11 +255,6 @@ def _grid_cells(cfg: dict, **extra) -> list[dict]:
 
 def _cell_inputs(cell: dict) -> tuple:
     """The (net, traffic, policy) that one grid cell simulates."""
-    net = load_topology(
-        cell["topology_text"],
-        slots_per_link=cell["slots"],
-        propagation_speed_km_s=cell["speed_kms"],
-    )
     traffic = sim.TrafficConfig(
         mean_holding=cell["load"] / cell["arrival_rate"],
         requests=cell["requests"],
@@ -268,7 +269,7 @@ def _cell_inputs(cell: dict) -> tuple:
         gb=cell["gb"],
         max_dd_ps=int(round(cell["m_us"] * 1e6)),
     )
-    return net, traffic, policy
+    return cell["net"], traffic, policy
 
 
 def _row_params(cell: dict) -> dict:

@@ -8,7 +8,8 @@ plus that bound, and prefixes that cannot reach the destination are never
 grown.  The bound is consistent and 0 at the destination, and every prefix
 of a path ranks strictly before the path itself, so complete paths pop in
 exactly the (delay, nodes, arc ids) order of a plain best-first search; only
-prefixes ranked before the K-th path are grown.
+prefixes ranked before the K-th path are grown.  Routes depend on the network
+alone, so :func:`cached_fiber_paths` memoizes them on the ``Network``.
 
 Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
@@ -174,6 +175,22 @@ def compute_fiber_paths(
     return found
 
 
+def cached_fiber_paths(
+    net: Network,
+    source: str,
+    destination: str,
+    k: int,
+    cache: dict | None = None,
+    stats: dict | None = None,
+) -> Sequence[Route]:
+    """:func:`compute_fiber_paths`, memoized in ``cache`` or else in ``net.route_memo``."""
+    memo = net.route_memo if cache is None else cache
+    key = (source, destination, k)
+    if key not in memo:  # a tuple, because every later caller shares it
+        memo[key] = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
+    return memo[key]
+
+
 def _largest(blocks: list[SlotRange]) -> SlotRange:
     return max(blocks, key=lambda b: (b.length, -b.start))
 
@@ -268,14 +285,7 @@ def serve(
     stats: dict | None = None,
 ) -> Solution | None:
     """Route, assign and atomically allocate one request; None when blocked."""
-    cache_key = (req.source, req.destination, policy.k)
-    if path_cache is not None and cache_key in path_cache:
-        routes = path_cache[cache_key]
-    else:
-        routes = compute_fiber_paths(net, req.source, req.destination, policy.k, stats=stats)
-        if path_cache is not None:
-            path_cache[cache_key] = routes
-
+    routes = cached_fiber_paths(net, req.source, req.destination, policy.k, path_cache, stats)
     plan = assign_spectrum(state, routes, req, policy, stats=stats)
     if plan is None:
         return None

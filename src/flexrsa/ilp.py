@@ -453,10 +453,6 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
     return violations
 
 
-def is_feasible(model: ConstraintSystem, assignment: Mapping[str, int]) -> bool:
-    return not check_assignment(model, assignment)
-
-
 def solution_cost(assignment: Mapping[str, int]) -> int:
     """Objective value: total slot-arc usage."""
     return int(sum(v for n, v in assignment.items() if n.startswith("xei_")))

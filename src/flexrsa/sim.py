@@ -15,13 +15,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Sequence
 
 from scipy import stats as _scipy_stats
 
-from .heuristic import PolicyParams, Request, assign_spectrum, compute_fiber_paths, serve
+from .heuristic import PolicyParams, Request, assign_spectrum, cached_fiber_paths, serve
 from .physics import FiberParams
 from .spectrum import SpectrumState
 from .topology import Network
@@ -61,11 +61,7 @@ class Metrics:
     offered: int = 0
     blocked: int = 0
     served: int = 0
-    path_histogram: dict[int, int] = None  # served count per number of bands
-
-    def __post_init__(self):
-        if self.path_histogram is None:
-            self.path_histogram = {}
+    path_histogram: dict[int, int] = field(default_factory=dict)  # served count per band count
 
     @property
     def blocking_prob(self) -> float:
@@ -129,17 +125,16 @@ def _simulate(
     fiber_params: FiberParams | None,
     *,
     audit: bool = False,
-    after_arrival: Callable[[int, SpectrumState, dict], None] | None = None,
+    after_arrival: Callable[[int, SpectrumState], None] | None = None,
 ) -> Metrics:
     """The event loop behind :func:`run` and :func:`probe_run`.
 
     Departures due at an arrival instant release first.  ``after_arrival``
     sees each arrival's index counted from the first measured one (negative
-    during warm-up), the live ledger and the route cache, once ``serve`` has
-    handled the arrival.
+    during warm-up) and the live ledger after ``serve``.  Routes come from
+    the memo on ``net``: runs on one network share their route enumerations.
     """
     state = SpectrumState(net)
-    path_cache: dict = {}
     requests = _draw_requests(net, traffic)
     warmup = int(traffic.requests * traffic.warmup_frac)
     metrics = Metrics()
@@ -150,9 +145,7 @@ def _simulate(
             _, _, ids = heapq.heappop(departures)
             for aid in ids:
                 state.release(aid)
-        solution = serve(
-            state, net, req, policy, fiber_params=fiber_params, path_cache=path_cache
-        )
+        solution = serve(state, net, req, policy, fiber_params=fiber_params)
         measured = i >= warmup
         if measured:
             metrics.offered += 1
@@ -171,7 +164,7 @@ def _simulate(
                 n = len(solution.paths)
                 metrics.path_histogram[n] = metrics.path_histogram.get(n, 0) + 1
         if after_arrival is not None:
-            after_arrival(i - warmup, state, path_cache)
+            after_arrival(i - warmup, state)
 
     while departures:
         _, _, ids = heapq.heappop(departures)
@@ -229,17 +222,15 @@ def probe_run(
     done = 0
     blocked = 0
 
-    def probe(pos: int, state: SpectrumState, path_cache: dict) -> None:
+    def probe(pos: int, state: SpectrumState) -> None:
         nonlocal done, blocked
         if pos < 0 or done >= probes or pos % spacing:
             return
         src, dst = pairs[probe_pairs.randrange(len(pairs))]
         req = Request(src, dst, probe_demand_rng.randint(*probe_demand))
-        key = (src, dst, policy.k)
-        if key not in path_cache:
-            path_cache[key] = compute_fiber_paths(net, src, dst, policy.k)
+        routes = cached_fiber_paths(net, src, dst, policy.k)
         done += 1
-        if assign_spectrum(state, path_cache[key], req, policy) is None:
+        if assign_spectrum(state, routes, req, policy) is None:
             blocked += 1
 
     _simulate(net, traffic, policy, fiber_params, after_arrival=probe)

@@ -13,7 +13,7 @@ one integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .topology import Link, Network
@@ -47,9 +47,6 @@ class SpectrumPath:
     delay_ps: int
     gvd_ps: int = 0
     allocation_id: int | None = None
-
-    def with_allocation(self, allocation_id: int) -> "SpectrumPath":
-        return replace(self, allocation_id=allocation_id)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,11 @@ class Network:
             table[link.src].append(link)
         return {v: tuple(sorted(arcs, key=lambda a: (a.dst, a.id))) for v, arcs in table.items()}
 
+    @cached_property
+    def route_memo(self) -> dict:
+        """Derived routes by (source, destination, k); out of equality, hash and repr."""
+        return {}
+
     def outgoing(self, v: str) -> tuple[Link, ...]:
         """All arcs leaving ``v``, ordered by (dst id, arc id)."""
         try:

@@ -1,7 +1,9 @@
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from flexrsa import cli, heuristic
 from flexrsa.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -89,6 +91,75 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"bad tr '{value}'" in err
         assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            (["--seeds", "x"], "seeds", "x"),
+            (["--seeds", "0..y"], "seeds", "y"),
+            (["--seeds", "1,z"], "seeds", "z"),
+            (["--load", "abc"], "load", "abc"),
+            (["--k", "3x"], "k", "3x"),
+            (["--gb", "1.5"], "gb", "1.5"),
+        ],
+    )
+    def test_bad_number_rejected(self, tmp_path, capsys, flags, key, value):
+        rc = main(
+            ["simulate", "--topology", "us", "--slots", "16", "--tr", "2", "--load", "10",
+             "--seeds", "0..0", "--requests", "50", "--out", str(tmp_path / "o")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} '{value}'" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("slots", "abc"), ("requests", "1e3"), ("warmup", "x"), ("jobs", "2.0")]
+    )
+    def test_bad_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
+        scn = tmp_path / "s.scn"
+        scn.write_text(f"topology = us\ntr = 2\nload = 10\nseeds = 0..0\n{key} = {value}\n")
+        rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} '{value}'" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_bad_topology_rejected(self, tmp_path, capsys):
+        topo = tmp_path / "bad.txt"
+        topo.write_text("node a\nnode b\nlink a c 10\n")
+        rc = main(
+            ["simulate", "--topology", str(topo), "--slots", "16", "--tr", "2", "--load", "10",
+             "--seeds", "0..0", "--requests", "50", "--jobs", "2", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    def test_grid_parses_once_and_enumerates_each_route_once(self, tmp_path, monkeypatch):
+        # every cell of a --jobs 1 grid shares one parsed network and its route memo
+        parses = []
+        enumerations = Counter()
+        parse, enumerate_paths = cli.load_topology, heuristic.compute_fiber_paths
+
+        def counted_parse(*args, **kwargs):
+            parses.append(args)
+            return parse(*args, **kwargs)
+
+        def counted_enumerate(net, source, destination, k, stats=None):
+            enumerations[source, destination, k] += 1
+            return enumerate_paths(net, source, destination, k, stats=stats)
+
+        monkeypatch.setattr(cli, "load_topology", counted_parse)
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
+             "--k", "4", "--tr", "1-4", "--load", "30", "--seeds", "0..1",
+             "--requests", "250", "--jobs", "1", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 0
+        assert len(parses) == 1
+        assert enumerations and max(enumerations.values()) == 1
 
     def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
         scn = tmp_path / "s.scn"

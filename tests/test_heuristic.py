@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from flexrsa import heuristic
 from flexrsa.heuristic import (
     PolicyParams,
     Request,
@@ -288,6 +289,23 @@ class TestServe:
             assert sol.total_slots == tr
             assert sol.delay_spread_ps <= policy.max_dd_ps
             state.audit(policy.gb)
+
+    def test_prefilled_path_cache_is_used(self, monkeypatch):
+        # a caller's path_cache replaces the network's memo: its routes are
+        # served as given and nothing is enumerated
+        net = load_topology(US_TEXT, slots_per_link=16)
+        policy = PolicyParams(mode="st", k=3)
+        second = compute_fiber_paths(net, "Seattle", "Miami", 3)[1]
+        cache = {("Seattle", "Miami", 3): [second]}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("routes were enumerated despite a filled path_cache")
+
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", refuse)
+        state = SpectrumState(net)
+        sol = serve(state, net, Request("Seattle", "Miami", 4), policy, path_cache=cache)
+        assert sol is not None and sol.paths[0].arcs == second.arcs
+        assert cache == {("Seattle", "Miami", 3): [second]}
 
     def test_phase2_inspection_ceiling(self):
         stats = {}

@@ -3,7 +3,7 @@ from importlib import resources
 
 import pytest
 
-from flexrsa import sim
+from flexrsa import heuristic, sim
 from flexrsa.heuristic import PolicyParams, Request, serve
 from flexrsa.sim import (
     Metrics,
@@ -21,10 +21,8 @@ from flexrsa.topology import load_topology
 
 from util import make_net
 
-US16 = load_topology(
-    resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text(),
-    slots_per_link=16,
-)
+US_TEXT = resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text()
+US16 = load_topology(US_TEXT, slots_per_link=16)
 
 
 def one_link_net(slots=8):
@@ -187,6 +185,24 @@ class TestProbe:
         traffic = TrafficConfig(mean_holding=0.5, requests=200, seed=0, demand=1, sd_pairs=(("A", "B"),))
         pm = probe_run(net, traffic, PolicyParams(mode="pt", k=2), probe_demand=(1, 1), probes=20, spacing=5)
         assert pm == ProbeMetrics(20, 0)
+
+    def test_run_after_probe_run_reuses_routes(self, monkeypatch):
+        # routes live on the network: a second run on it enumerates nothing
+        net = load_topology(US_TEXT, slots_per_link=16)
+        traffic = TrafficConfig(mean_holding=20.0, requests=600, seed=2, demand=(1, 4))
+        policy = PolicyParams(mode="pt", k=6, gb=1)
+        probe_run(net, traffic, policy, probe_demand=(2, 4), probes=20, spacing=10)
+        calls = []
+        enumerate_paths = heuristic.compute_fiber_paths
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:4])
+            return enumerate_paths(*args, **kwargs)
+
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted)
+        metrics = run(net, traffic, policy)
+        assert metrics.offered > 0
+        assert calls == []
 
     def test_probe_arguments_validated(self):
         traffic = TrafficConfig(mean_holding=1.0, requests=10, seed=0)

@@ -99,6 +99,14 @@ class TestOutgoing:
         with pytest.raises(TopologyError):
             net.outgoing("Z")
 
+    def test_route_memo_out_of_equality(self):
+        a = load_topology(US_TEXT, slots_per_link=16)
+        b = load_topology(US_TEXT, slots_per_link=16)
+        a.route_memo[("Seattle", "Miami", 1)] = []
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert "route_memo" not in repr(a)
+        assert b.route_memo == {}
+
     def test_stable_order(self):
         net = make_net([("A", "C", 100), ("A", "B", 100), ("A", "D", 100)], slots=8)
         assert [l.dst for l in net.outgoing("A")] == ["B", "C", "D"]
