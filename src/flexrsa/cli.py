@@ -16,6 +16,7 @@ the m_us column of every output row).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -73,11 +74,15 @@ def _read_topology(token: str) -> str:
 
 
 def _cast(key: str, token, cast):
-    """``cast(token)``; a value it rejects is a ConfigError naming key and value."""
+    """``cast(token)``; a rejected value or a non-finite float is a ConfigError naming both."""
     try:
-        return cast(token)
+        value = cast(token)
     except ValueError:
-        raise ConfigError(f"bad {key} {token!r}: expected {cast.__name__}") from None
+        value = None
+    if value is None or (cast is float and not math.isfinite(value)):
+        expected = "finite float" if cast is float else cast.__name__
+        raise ConfigError(f"bad {key} {token!r}: expected {expected}")
+    return value
 
 
 def _parse_seeds(token: str) -> list[int]:
@@ -151,12 +156,10 @@ def load_scenario(path: str) -> dict:
 
 
 def _merged(args: argparse.Namespace, scenario: dict, key: str, cast=None):
-    cli_value = getattr(args, key, None)
-    if cli_value is not None:
-        return cli_value
-    if key in scenario:
-        return _cast(key, scenario[key], cast) if cast else scenario[key]
-    return _DEFAULTS[key]
+    value = getattr(args, key, None)
+    if value is None:
+        value = scenario.get(key, _DEFAULTS[key])
+    return _cast(key, value, cast) if cast else value
 
 
 def _fiber(cfg: dict) -> FiberParams:
@@ -197,6 +200,14 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
         cfg[key] = _merged(args, scenario, key, float)
     if cfg["jobs"] < 1:
         raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
+    positive = {"load": cfg["loads"], "arrival_rate": [cfg["arrival_rate"]],
+                "speed_kms": [cfg["speed_kms"]]}
+    for key, values in positive.items():
+        for value in values:
+            if value <= 0:
+                raise ConfigError(f"bad {key} {value!r}: expected > 0")
+    if cfg["max_dd_us"] < 0:
+        raise ConfigError(f"bad max_dd_us {cfg['max_dd_us']!r}: expected >= 0")
     cfg["out"] = _merged(args, scenario, "out")
     if args.command == "probe":
         # the grid's demand axis is the background; probes draw from probe_tr

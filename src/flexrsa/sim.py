@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Sequence
 
-from scipy import stats as _scipy_stats
-
 from .heuristic import PolicyParams, Request, assign_spectrum, cached_fiber_paths, serve
 from .physics import FiberParams
 from .spectrum import SpectrumState
@@ -247,8 +245,61 @@ class ReplicateSummary:
     runs: tuple[Metrics, ...]
 
 
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) by Lentz's continued fraction; ``y`` is ``1 - x``, passed exactly."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1_000):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            break
+    front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+             + a * math.log(x) + b * math.log(y))
+    return math.exp(front) * h / a
+
+
+def _t_tail(t: float, df: int) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom and ``t >= 0``."""
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t * t), t * t / (df + t * t)  # I_x(df/2, 1/2) = 2 P(T > t)
+    if y == 0.0:
+        return 0.5
+    if x < (a + 1.0) / (a + b + 2.0):
+        return 0.5 * _beta_cf(a, b, x, y)
+    return 0.5 * (1.0 - _beta_cf(b, a, y, x))
+
+
+def _t_quantile(p: float, df: int) -> float:
+    """The ``p`` quantile (``0.5 <= p < 1``) of Student's t, by bisection on the upper tail."""
+    tail = 1.0 - p
+    lo, hi = 0.0, 1.0
+    while _t_tail(hi, df) > tail:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if _t_tail(mid, df) > tail:
+            lo = mid
+        else:
+            hi = mid
+
+
 def replicate(run_one: Callable[[int], Metrics], seeds: Sequence[int]) -> ReplicateSummary:
-    """Independent runs per seed with Student-t 95% intervals."""
+    """Independent runs per seed with Student-t 95% intervals.
+
+    The t quantile is computed here, without scipy: the regularized incomplete
+    beta function by Lentz's continued fraction (Press et al., *Numerical
+    Recipes*, section 6.4), inverted by bisection on the upper tail.
+    """
     if len(seeds) < 2:
         raise ValueError("replicate needs at least 2 seeds")
     runs = tuple(run_one(seed) for seed in seeds)
@@ -259,7 +310,7 @@ def replicate(run_one: Callable[[int], Metrics], seeds: Sequence[int]) -> Replic
         var = sum((v - mean) ** 2 for v in values) / (n - 1)
         if var <= 0:
             return mean, 0.0
-        half = float(_scipy_stats.t.ppf(0.975, n - 1)) * math.sqrt(var / n)
+        half = _t_quantile(0.975, n - 1) * math.sqrt(var / n)
         return mean, half
 
     b_mean, b_half = interval([m.blocking_prob for m in runs])

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -101,6 +104,8 @@ class TestSimulate:
             (["--load", "abc"], "load", "abc"),
             (["--k", "3x"], "k", "3x"),
             (["--gb", "1.5"], "gb", "1.5"),
+            (["--load", "nan"], "load", "nan"),
+            (["--load", "10,inf"], "load", "inf"),
         ],
     )
     def test_bad_number_rejected(self, tmp_path, capsys, flags, key, value):
@@ -114,7 +119,9 @@ class TestSimulate:
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("slots", "abc"), ("requests", "1e3"), ("warmup", "x"), ("jobs", "2.0")]
+        "key, value",
+        [("slots", "abc"), ("requests", "1e3"), ("warmup", "x"), ("jobs", "2.0"),
+         ("load", "nan"), ("speed_kms", "inf"), ("max_dd_us", "nan")],
     )
     def test_bad_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
         scn = tmp_path / "s.scn"
@@ -123,6 +130,46 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"bad {key} '{value}'" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            (["--load", "-5"], "load", "-5"),
+            (["--load", "0"], "load", "0"),
+            (["--load", "10,0"], "load", "0"),
+            (["--arrival-rate", "0"], "arrival_rate", "0"),
+            (["--arrival-rate", "nan"], "arrival_rate", "nan"),
+            (["--speed-kms", "0"], "speed_kms", "0"),
+            (["--speed-kms", "inf"], "speed_kms", "inf"),
+            (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
+            (["--mode", "pt", "--max-dd-us", "-1"], "max_dd_us", "-1"),
+        ],
+    )
+    def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--k", "2", "--tr", "2",
+             "--load", "10", "--seeds", "0..0", "--requests", "50",
+             "--out", str(tmp_path / "o")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("load", "-5"), ("arrival_rate", "0"), ("speed_kms", "0"), ("max_dd_us", "-1")],
+    )
+    def test_out_of_range_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
+        scn = tmp_path / "s.scn"
+        lines = {"topology": "abilene", "slots": "16", "mode": "pt", "k": "2", "tr": "2",
+                 "load": "10", "seeds": "0..0", "requests": "50", key: value}
+        scn.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     def test_bad_topology_rejected(self, tmp_path, capsys):
@@ -299,6 +346,26 @@ class TestProbeCommand:
         assert err.startswith("error:") and f"bad {key} '{value}'" in err
         assert not (tmp_path / "p" / "probe.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            (["--load", "-5"], "load", "-5"),
+            (["--arrival-rate", "0"], "arrival_rate", "0"),
+            (["--arrival-rate", "nan"], "arrival_rate", "nan"),
+            (["--speed-kms", "0"], "speed_kms", "0"),
+            (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
+        ],
+    )
+    def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
+        rc = main(
+            ["probe", "--topology", "us", "--slots", "16", "--k", "5", "--load", "30",
+             "--seeds", "0..0", "--requests", "100", "--out", str(tmp_path / "p")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
+        assert not (tmp_path / "p" / "probe.csv").exists()
+
     def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
         scn = tmp_path / "p.scn"
         scn.write_text("topology = us\nslots = 16\nk = 5\nload = 30\nseeds = 0..0\nbg_tr = 3-1\n")
@@ -386,3 +453,17 @@ def test_unknown_mode_rejected(tmp_path, capsys):
                "--requests", "50", "--out", str(tmp_path / "x")])
     assert rc == 2
     assert "unknown mode" in capsys.readouterr().err
+
+
+def test_import_leaves_scipy_and_numpy_out():
+    # the package has no runtime dependencies: replicate's t quantile is pure Python
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, flexrsa.cli; print(sorted({'scipy', 'numpy'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import math
 import random
 from importlib import resources
 
@@ -143,6 +144,33 @@ class TestReplicate:
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError):
             replicate(lambda s: Metrics(), [1])
+
+    def test_two_seeds_use_one_degree_of_freedom(self):
+        runs = {
+            0: Metrics(offered=10, blocked=1, served=9, path_histogram={1: 9}),
+            1: Metrics(offered=10, blocked=3, served=7, path_histogram={1: 4, 2: 3}),
+        }
+        summary = replicate(runs.__getitem__, [0, 1])
+        t975 = math.tan(0.475 * math.pi)  # Cauchy = Student-t with one degree of freedom
+        # two values v0, v1 give sqrt(var / n) = |v1 - v0| / 2
+        assert summary.blocking_mean == pytest.approx(0.2)
+        assert summary.blocking_halfwidth == pytest.approx(t975 * 0.1, rel=1e-12)
+        assert summary.aggregation_mean == pytest.approx(3 / 14)
+        assert summary.aggregation_halfwidth == pytest.approx(t975 * 3 / 14, rel=1e-12)
+
+
+class TestTQuantile:
+    def test_matches_scipy(self):
+        from scipy import stats
+
+        dfs = [*range(1, 1001), 10**4, 10**5]
+        for df, ref in zip(dfs, stats.t.ppf(0.975, dfs)):
+            assert sim._t_quantile(0.975, df) == pytest.approx(ref, rel=1e-10, abs=0), df
+
+    def test_closed_forms(self):
+        assert sim._t_quantile(0.975, 1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-12)
+        q = 2 * 0.975 - 1
+        assert sim._t_quantile(0.975, 2) == pytest.approx(q * math.sqrt(2 / (1 - q * q)), rel=1e-12)
 
 
 class TestProbe:

@@ -286,7 +286,7 @@ def test_occupancy_dump_golden():
 
 
 def test_import_leaves_numpy_out():
-    # the ledger is plain ints; numpy arrives only with scipy, which sim imports
+    # the ledger is plain ints, and no module of the package imports numpy or scipy
     src = Path(flexrsa.__file__).resolve().parent.parent
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, flexrsa; print('numpy' in sys.modules)"],
