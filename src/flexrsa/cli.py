@@ -198,16 +198,23 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
         cfg[key] = _merged(args, scenario, key, int)
     for key in ("warmup", "arrival_rate", "dispersion", "fc_thz", "slot_ghz", "speed_kms"):
         cfg[key] = _merged(args, scenario, key, float)
-    if cfg["jobs"] < 1:
-        raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
-    positive = {"load": cfg["loads"], "arrival_rate": [cfg["arrival_rate"]],
-                "speed_kms": [cfg["speed_kms"]]}
-    for key, values in positive.items():
+    limits = [
+        ("load", cfg["loads"], lambda v: v > 0, "> 0"),
+        ("arrival_rate", [cfg["arrival_rate"]], lambda v: v > 0, "> 0"),
+        ("speed_kms", [cfg["speed_kms"]], lambda v: v > 0, "> 0"),
+        ("max_dd_us", [cfg["max_dd_us"]], lambda v: v >= 0, ">= 0"),
+        ("gb", cfg["gbs"], lambda v: v >= 0, ">= 0"),
+        ("warmup", [cfg["warmup"]], lambda v: 0 <= v < 1, "0 <= warmup < 1"),
+        ("requests", [cfg["requests"]], lambda v: v >= 1, ">= 1"),
+        ("jobs", [cfg["jobs"]], lambda v: v >= 1, ">= 1"),
+    ]
+    if args.command == "probe":
+        limits.append(("probes", [cfg["probes"]], lambda v: v >= 1, "a probe count >= 1"))
+        limits.append(("spacing", [cfg["spacing"]], lambda v: v >= 1, ">= 1"))
+    for key, values, ok, expected in limits:
         for value in values:
-            if value <= 0:
-                raise ConfigError(f"bad {key} {value!r}: expected > 0")
-    if cfg["max_dd_us"] < 0:
-        raise ConfigError(f"bad max_dd_us {cfg['max_dd_us']!r}: expected >= 0")
+            if not ok(value):
+                raise ConfigError(f"bad {key} {value!r}: expected {expected}")
     cfg["out"] = _merged(args, scenario, "out")
     if args.command == "probe":
         # the grid's demand axis is the background; probes draw from probe_tr
@@ -369,6 +376,13 @@ def cmd_probe(args) -> int:
 
 
 def cmd_export_ilp(args) -> int:
+    demand = args.tr if args.tr is not None else 4
+    max_dd_us = _cast("max_dd_us", M_US_PT1 if args.max_dd_us is None else args.max_dd_us, float)
+    for key, value, low in (("tr", demand, 1), ("gb", args.gb, 0), ("paths", args.paths, 1),
+                            ("max_dd_us", max_dd_us, 0)):
+        if value < low:
+            raise ConfigError(f"bad {key} {value!r}: expected >= {low}")
+    max_dd_ps = int(round(max_dd_us * 1e6))
     text = _read_topology(args.topology or _DEFAULTS["topology"])
     slots = args.slots if args.slots is not None else 16
     net = load_topology(text, slots_per_link=slots)
@@ -377,8 +391,6 @@ def cmd_export_ilp(args) -> int:
     dst = args.dst or net.nodes[-1]
     if not net.has_node(src) or not net.has_node(dst):
         raise ConfigError(f"unknown node in pair ({src}, {dst})")
-    demand = args.tr if args.tr is not None else 4
-    max_dd_ps = int(round((args.max_dd_us if args.max_dd_us is not None else M_US_PT1) * 1e6))
 
     routes = compute_fiber_paths(net, src, dst, args.paths)
     if not routes:

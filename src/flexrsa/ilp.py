@@ -17,8 +17,10 @@ families are emitted symbolically over binary/integer variables:
     diff-delay   pairwise delay spread plus skews bounded by M (deactivated
                  for unused path slots via a big-M term)
 
-Coefficients are exact binary fractions, so evaluation is exact and the
-LP-format export is bit-stable and parses back to an equal system.
+Coefficients and right-hand sides are plain integers, except in the gvd
+rows, whose dispersion coefficients and half-unit slack are exact
+``Fraction`` values.  So evaluation is exact, and the LP-format export is
+bit-stable and parses back to an equal system.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ class VarDecl:
 class Constraint:
     name: str
     family: str
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, int | Fraction], ...]
     relation: str  # "<=" | ">=" | "="
-    rhs: Fraction
+    rhs: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ class ModelMeta:
 class ConstraintSystem:
     variables: dict[str, VarDecl]
     constraints: list[Constraint]
-    objective: tuple[tuple[str, Fraction], ...]
+    objective: tuple[tuple[str, int | Fraction], ...]
     meta: ModelMeta | None = field(default=None, compare=False)
 
     def variable_counts(self) -> dict[str, int]:
@@ -151,6 +153,12 @@ def build_model(
         raise ModelError("empty candidate path set")
     if slots <= 0:
         raise ModelError(f"slots must be positive, got {slots}")
+    if demand < 1:
+        raise ModelError(f"demand must be >= 1, got {demand}")
+    if gb < 0:
+        raise ModelError(f"gb must be >= 0, got {gb}")
+    if max_dd_ps < 0:
+        raise ModelError(f"max_dd_ps must be >= 0, got {max_dd_ps}")
     fiber = fiber_params or FiberParams()
     routes = _normalize_paths(candidate_paths)
     npaths = len(routes)
@@ -232,20 +240,20 @@ def build_model(
     def emit(family, coeffs, relation, rhs):
         idx = counters[family]
         counters[family] += 1
-        merged: dict[str, Fraction] = {}
+        merged: dict[str, int | Fraction] = {}
         for n, c in coeffs:
-            merged[n] = merged.get(n, Fraction(0)) + Fraction(c)
+            merged[n] = merged.get(n, 0) + c
         constraints.append(
             Constraint(
                 f"{_PREFIX[family]}_{idx}",
                 family,
                 tuple((n, c) for n, c in merged.items() if c != 0),
                 relation,
-                Fraction(rhs),
+                rhs,
             )
         )
 
-    one = Fraction(1)
+    one = 1
 
     # routing: arc usage pinned to the fixed route
     for p in range(npaths):
@@ -283,8 +291,8 @@ def build_model(
                 for j in range(i, slots):
                     # j*xj - i*xi + 1 <= T + (2 - xi - xj)*F
                     coeffs = [
-                        (xei(p, e, j), Fraction(j + slots)),
-                        (xei(p, e, i), Fraction(slots - i)),
+                        (xei(p, e, j), j + slots),
+                        (xei(p, e, i), slots - i),
                         (f"T_p{p + 1}", -one),
                     ]
                     emit("consecutive", coeffs, "<=", 2 * slots - 1)
@@ -364,11 +372,11 @@ def build_model(
     # lin-z: z = T * xe
     for p in range(npaths):
         for e in route_ids[p]:
-            emit("lin-z", [(z(p, e), one), (xe(p, e), Fraction(-slots))], "<=", 0)
+            emit("lin-z", [(z(p, e), one), (xe(p, e), -slots)], "<=", 0)
             emit("lin-z", [(z(p, e), one), (f"T_p{p + 1}", -one)], "<=", 0)
             emit(
                 "lin-z",
-                [(f"T_p{p + 1}", one), (xe(p, e), Fraction(slots)), (z(p, e), -one)],
+                [(f"T_p{p + 1}", one), (xe(p, e), slots), (z(p, e), -one)],
                 "<=",
                 slots,
             )
@@ -377,7 +385,7 @@ def build_model(
     for p in range(npaths):
         coeffs = [(f"pd_p{p + 1}", one)]
         for e in route_ids[p]:
-            coeffs.append((xe(p, e), Fraction(-arc_by_id[e].delay_ps)))
+            coeffs.append((xe(p, e), -arc_by_id[e].delay_ps))
         emit("delay", coeffs, "=", 0)
 
     # diff-delay: |pd_p - pd_q| + skews <= M when both paths are used
@@ -390,8 +398,8 @@ def build_model(
                     (f"pd_p{q + 1}", -sign),
                     (f"gvd_p{p + 1}", one),
                     (f"gvd_p{q + 1}", one),
-                    (x(p), Fraction(big_m)),
-                    (x(q), Fraction(big_m)),
+                    (x(p), big_m),
+                    (x(q), big_m),
                 ],
                 "<=",
                 max_dd_ps + 2 * big_m,
@@ -440,7 +448,7 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
     for con in model.constraints:
         i = fam_idx.get(con.family, 0)
         fam_idx[con.family] = i + 1
-        lhs = sum((c * assignment[n] for n, c in con.coeffs), Fraction(0))
+        lhs = sum(c * assignment[n] for n, c in con.coeffs)
         ok = (
             lhs <= con.rhs
             if con.relation == "<="
@@ -514,13 +522,13 @@ def assignment_from_bands(
 # LP-format export / import
 
 
-def _fmt_num(fr: Fraction) -> str:
+def _fmt_num(fr: int | Fraction) -> str:
     if fr.denominator == 1:
         return str(fr.numerator)
     return repr(float(fr))
 
 
-def _fmt_terms(coeffs: Iterable[tuple[str, Fraction]]) -> str:
+def _fmt_terms(coeffs: Iterable[tuple[str, int | Fraction]]) -> str:
     parts: list[str] = []
     for name, c in coeffs:
         sign = "-" if c < 0 else "+"
@@ -574,27 +582,27 @@ def export_lp(model: ConstraintSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_number(tok: str) -> Fraction:
+def _parse_number(tok: str) -> int | Fraction:
     if "." in tok or "e" in tok or "E" in tok:
         return Fraction(float(tok))
-    return Fraction(int(tok))
+    return int(tok)
 
 
-def _parse_expr(tokens: list[str]) -> tuple[tuple[str, Fraction], ...]:
-    coeffs: list[tuple[str, Fraction]] = []
-    sign = Fraction(1)
-    pending: Fraction | None = None
+def _parse_expr(tokens: list[str]) -> tuple[tuple[str, int | Fraction], ...]:
+    coeffs: list[tuple[str, int | Fraction]] = []
+    sign = 1
+    pending: int | Fraction | None = None
     for tok in tokens:
         if tok == "+":
-            sign = Fraction(1)
+            sign = 1
         elif tok == "-":
-            sign = Fraction(-1)
+            sign = -1
         elif tok[0].isdigit() or tok[0] == ".":
             pending = _parse_number(tok)
         else:
-            mag = pending if pending is not None else Fraction(1)
+            mag = pending if pending is not None else 1
             coeffs.append((tok, sign * mag))
-            sign = Fraction(1)
+            sign = 1
             pending = None
     return tuple(coeffs)
 

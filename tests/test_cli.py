@@ -9,17 +9,14 @@ import pytest
 from flexrsa import cli, heuristic
 from flexrsa.cli import main
 
+from util import circulant_15_text
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def circulant_15(tmp_path):
-    """15 nodes, each linked to +1 and +2 around a ring: >= 4 paths per pair."""
-    lines = [f"node v{i:02d}" for i in range(15)]
-    for i in range(15):
-        lines.append(f"link v{i:02d} v{(i + 1) % 15:02d} 300")
-        lines.append(f"link v{i:02d} v{(i + 2) % 15:02d} 500")
     path = tmp_path / "circulant15.txt"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(circulant_15_text())
     return str(path)
 
 
@@ -144,6 +141,9 @@ class TestSimulate:
             (["--speed-kms", "inf"], "speed_kms", "inf"),
             (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
             (["--mode", "pt", "--max-dd-us", "-1"], "max_dd_us", "-1"),
+            (["--warmup", "1.5"], "warmup", "1.5"),
+            (["--warmup", "1"], "warmup", "1"),
+            (["--warmup", "-0.1"], "warmup", "-0.1"),
         ],
     )
     def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
@@ -159,7 +159,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("load", "-5"), ("arrival_rate", "0"), ("speed_kms", "0"), ("max_dd_us", "-1")],
+        [("load", "-5"), ("arrival_rate", "0"), ("speed_kms", "0"), ("max_dd_us", "-1"),
+         ("warmup", "1.5")],
     )
     def test_out_of_range_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
         scn = tmp_path / "s.scn"
@@ -171,6 +172,37 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
         assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gb", "-1"], "bad gb -1: expected >= 0"),
+            (["--gb", "0,-2"], "bad gb -2: expected >= 0"),
+            (["--requests", "0"], "bad requests 0: expected >= 1"),
+        ],
+    )
+    def test_out_of_range_integer_rejected(self, tmp_path, capsys, flags, message):
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--k", "2", "--tr", "2",
+             "--load", "10", "--seeds", "0..0", "--requests", "50",
+             "--out", str(tmp_path / "o")] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [("gb", "-1"), ("requests", "0")])
+    def test_out_of_range_integer_in_scenario_rejected(self, tmp_path, capsys, key, value):
+        scn = tmp_path / "s.scn"
+        lines = {"topology": "abilene", "slots": "16", "k": "2", "tr": "2", "load": "10",
+                 "seeds": "0..0", "requests": "50", key: value}
+        scn.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"bad {key} {value}: expected" in err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_topology_rejected(self, tmp_path, capsys):
         topo = tmp_path / "bad.txt"
@@ -314,6 +346,9 @@ class TestProbeCommand:
             (["--probes", "-5"], "probe count"),
             (["--jobs", "0"], "jobs"),
             (["--jobs", "-2"], "jobs"),
+            (["--probes", "0"], "bad probes 0: expected a probe count >= 1"),
+            (["--spacing", "-1"], "bad spacing -1: expected >= 1"),
+            (["--gb", "-1"], "bad gb -1: expected >= 0"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
@@ -354,6 +389,7 @@ class TestProbeCommand:
             (["--arrival-rate", "nan"], "arrival_rate", "nan"),
             (["--speed-kms", "0"], "speed_kms", "0"),
             (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
+            (["--warmup", "1.5"], "warmup", "1.5"),
         ],
     )
     def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
@@ -365,6 +401,16 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
         assert not (tmp_path / "p" / "probe.csv").exists()
+
+    def test_zero_probes_in_scenario_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "p.scn"
+        scn.write_text("topology = abilene\nslots = 16\nk = 2\nload = 10\nseeds = 0..0\n"
+                       "requests = 100\nprobes = 0\n")
+        rc = main(["probe", "--scenario", str(scn), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad probes 0: expected" in err
+        assert not (tmp_path / "p").exists()
 
     def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
         scn = tmp_path / "p.scn"
@@ -440,6 +486,28 @@ class TestExportIlp:
         ) == 0
         parsed = ilp.parse_lp(lp_out.read_text())
         assert parsed.variable_counts()["y"] == 16
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--tr", "0"], "bad tr 0: expected >= 1"),
+            (["--tr", "-2"], "bad tr -2: expected >= 1"),
+            (["--gb", "-1"], "bad gb -1: expected >= 0"),
+            (["--paths", "0"], "bad paths 0: expected >= 1"),
+            (["--max-dd-us", "-3"], "bad max_dd_us -3.0: expected >= 0"),
+            (["--max-dd-us", "nan"], "bad max_dd_us nan: expected finite float"),
+        ],
+    )
+    def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
+        lp_out = tmp_path / "m.lp"
+        rc = main(
+            ["export-ilp", "--topology", "abilene", "--slots", "8", "--paths", "2",
+             "--out", str(lp_out)] + flags
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not lp_out.exists()
 
 
 class TestOracleCheck:

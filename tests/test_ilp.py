@@ -1,14 +1,18 @@
+import hashlib
 import random
 from fractions import Fraction
+from importlib import resources
+from itertools import permutations
 
 import pytest
 
-from flexrsa import ilp, oracle
+from flexrsa import heuristic, ilp, oracle
 from flexrsa.heuristic import PolicyParams, Request, assign_spectrum, compute_fiber_paths
 from flexrsa.physics import FiberParams
 from flexrsa.spectrum import SlotRange, SpectrumState
+from flexrsa.topology import load_topology
 
-from util import make_net, milp_solve, paint
+from util import circulant_15_text, make_net, milp_solve, paint
 
 TINY_D = FiberParams(dispersion_ps_per_nm_km=1e-12)  # dispersion skew rounds to 0
 
@@ -76,6 +80,18 @@ class TestModelShape:
             ilp.build_model(net, "S", "D", 1, [], slots=4)
         with pytest.raises(ilp.ModelError):
             ilp.build_model(net, "S", "D", 1, compute_fiber_paths(net, "S", "D", 1), slots=0)
+
+    @pytest.mark.parametrize(
+        "demand, gb, max_dd_ps, name",
+        [(0, 0, 0, "demand"), (-2, 0, 0, "demand"), (1, -1, 0, "gb"), (1, 0, -1, "max_dd_ps")],
+    )
+    def test_out_of_range_request_rejected(self, demand, gb, max_dd_ps, name):
+        net = make_net([("S", "D", 100)], slots=4)
+        with pytest.raises(ilp.ModelError, match=name):
+            ilp.build_model(
+                net, "S", "D", demand, compute_fiber_paths(net, "S", "D", 1),
+                slots=4, gb=gb, max_dd_ps=max_dd_ps,
+            )
 
     def test_only_linear_families_present(self):
         _, _, model = diamond_model(gb=2)
@@ -344,3 +360,90 @@ class TestHeuristicSolutionsPassChecker:
         )
         a = ilp.assignment_from_bands(model, [p.range for p in plan.paths])
         assert ilp.check_assignment(model, a) == []
+
+
+M_250US_PS = 250_000_000
+
+
+@pytest.fixture(scope="module")
+def golden_models():
+    """Two 15-node-ring pairs and 20 US requests over a served background.
+
+    |F|=12, |P|=3, GB=1 and M=250 us, with real dispersion: every row family
+    appears, the gvd rows carry non-integer coefficients, and the guard-band
+    family has both occupancy and pairwise rows.
+    """
+    slots, paths = 12, 3
+    fiber = FiberParams()
+    ring = load_topology(circulant_15_text(), slots_per_link=slots)
+    models = [
+        ilp.build_model(
+            ring, "v00", dst, 4, compute_fiber_paths(ring, "v00", dst, paths),
+            slots=slots, gb=1, max_dd_ps=M_250US_PS, fiber_params=fiber,
+        )
+        for dst in ("v03", "v07")
+    ]
+    us = load_topology(
+        resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text(),
+        slots_per_link=slots,
+    )
+    rng = random.Random(2013)
+    pairs = list(permutations(us.nodes, 2))
+    state = SpectrumState(us)
+    background = PolicyParams(mode="pt", k=paths, gb=1)
+    for _ in range(12):
+        src, dst = rng.choice(pairs)
+        heuristic.serve(state, us, Request(src, dst, rng.randint(1, 4)), background)
+    occupied = state.occupied_by_arc()
+    for src, dst in rng.sample(pairs, 20):
+        models.append(
+            ilp.build_model(
+                us, src, dst, rng.randint(1, 4), compute_fiber_paths(us, src, dst, paths),
+                slots=slots, gb=1, max_dd_ps=M_250US_PS, fiber_params=fiber,
+                occupied=occupied,
+            )
+        )
+    return models
+
+
+class TestGoldenExport:
+    # sha256 of export_lp over golden_models, in order; pins the LP bytes
+    LP_SHA256 = "913bf52f915d19a4ffa013ede0b45413fd93ce961fc73027c7529b1fb93f62ff"
+
+    def test_model_set_exercises_gvd_fractions_and_guard_bands(self, golden_models):
+        rows = [c for m in golden_models for c in m.constraints]
+        assert {c.family for c in rows} == set(ilp.FAMILIES)
+        assert any(c.denominator != 1 for r in rows if r.family == "gvd" for _, c in r.coeffs)
+        occupancy_rows = [r for r in rows if r.family == "guard-band" and len(r.coeffs) == 1]
+        assert occupancy_rows and len(occupancy_rows) < sum(r.family == "guard-band" for r in rows)
+
+    def test_export_bytes_pinned_and_round_trip(self, golden_models):
+        digest = hashlib.sha256()
+        for model in golden_models:
+            text = ilp.export_lp(model)
+            assert ilp.parse_lp(text) == model
+            digest.update(text.encode())
+        assert digest.hexdigest() == self.LP_SHA256
+
+
+class TestRepresentation:
+    def test_integers_outside_gvd_rows(self, golden_models):
+        for model in golden_models[::4]:
+            for system in (model, ilp.parse_lp(ilp.export_lp(model))):
+                assert all(type(c) is int for _, c in system.objective)
+                for con in system.constraints:
+                    if con.family == "gvd":
+                        assert con.rhs == Fraction(1, 2)
+                        continue
+                    assert type(con.rhs) is int, con.name
+                    assert all(type(c) is int for _, c in con.coeffs), con.name
+
+    def test_gvd_one_unit_off_physics_is_a_violation(self):
+        _, _, model = diamond_model(demand=4, fiber=FiberParams())
+        legal = ilp.assignment_from_bands(model, [SlotRange(0, 2), SlotRange(0, 2)])
+        assert legal["gvd_p1"] > 1
+        assert ilp.check_assignment(model, legal) == []
+        for delta in (-1, 1):
+            moved = {**legal, "gvd_p1": legal["gvd_p1"] + delta}
+            bad = ilp.check_assignment(model, moved)
+            assert bad and {family for family, _ in bad} == {"gvd"}, (delta, bad)

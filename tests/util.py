@@ -20,6 +20,15 @@ def make_net(edges, slots, speed_km_s=2.0e5) -> Network:
     return load_topology(text, slots_per_link=slots, propagation_speed_km_s=speed_km_s)
 
 
+def circulant_15_text() -> str:
+    """15 nodes, each linked to +1 and +2 around a ring: >= 4 paths per pair."""
+    lines = [f"node v{i:02d}" for i in range(15)]
+    for i in range(15):
+        lines.append(f"link v{i:02d} v{(i + 1) % 15:02d} 300")
+        lines.append(f"link v{i:02d} v{(i + 2) % 15:02d} 500")
+    return "\n".join(lines) + "\n"
+
+
 def paint(state: SpectrumState, link, bits: str):
     """Force an occupancy pattern on one arc by allocating each '1' run."""
     start = None
