@@ -392,20 +392,19 @@ def cmd_export_ilp(args) -> int:
     if not net.has_node(src) or not net.has_node(dst):
         raise ConfigError(f"unknown node in pair ({src}, {dst})")
 
+    def model_for(s, d, candidates):
+        try:
+            return ilp.build_model(
+                net, s, d, demand, candidates,
+                slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
+            )
+        except ilp.ModelError as exc:  # every other input is checked above: tr exceeds |P|*|F|
+            raise ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}") from exc
+
     routes = compute_fiber_paths(net, src, dst, args.paths)
     if not routes:
         raise ConfigError(f"no path from {src} to {dst}")
-    model = ilp.build_model(
-        net,
-        src,
-        dst,
-        demand,
-        routes,
-        slots=slots,
-        gb=args.gb,
-        max_dd_ps=max_dd_ps,
-        fiber_params=fiber,
-    )
+    model = model_for(src, dst, routes)
     counts = model.variable_counts()
     y_per_request = counts.get("y", 0)
     print(f"request {src} -> {dst}: |P|={len(routes)} |F|={slots}")
@@ -423,11 +422,7 @@ def cmd_export_ilp(args) -> int:
                 pr = compute_fiber_paths(net, s, d, args.paths)
                 if not pr:
                     continue
-                m = ilp.build_model(
-                    net, s, d, demand, pr,
-                    slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
-                )
-                total_y += m.variable_counts().get("y", 0)
+                total_y += model_for(s, d, pr).variable_counts().get("y", 0)
         print(f"aggregate y variables over {pairs} node pairs: {total_y}")
     if args.out:
         _write_atomic(args.out, ilp.export_lp(model))

@@ -15,18 +15,21 @@ Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
 whose path delay exceeds the earliest candidate's by at most the
 differential-delay bound M.  Dispersion skew is deliberately ignored in that
-check; only path diversity counts here.
+check; only path diversity counts here.  Each route is read once, as its
+guard-shrunk free mask (``SpectrumState.free_mask``): step 1 asks the mask
+whether the demand fits and turns it into blocks only on the route that
+takes it, and step 2 reads its fragments off the same masks.  Two bands
+share an arc when their routes' ``arc_mask`` bits meet.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps
-from .spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
+from .spectrum import SlotRange, SpectrumPath, SpectrumState, fits, ranges_clear, runs
 from .topology import Link, Network
 
 MODE_SINGLE = "st"
@@ -68,17 +71,20 @@ class PolicyParams:
             raise ValueError("gb and max_dd_ps must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
-    """A fiber-level path with its delay and cached arc-id set."""
+    """A fiber-level path with its delay; ``arc_mask`` has bit ``a.id`` set per arc."""
 
     arcs: tuple[Link, ...]
     nodes: tuple[str, ...]
     delay_ps: int
+    arc_mask: int = field(init=False, compare=False, repr=False)
 
-    @cached_property
-    def arc_id_set(self) -> frozenset[int]:
-        return frozenset(a.id for a in self.arcs)
+    def __post_init__(self):
+        mask = 0
+        for a in self.arcs:
+            mask |= 1 << a.id
+        object.__setattr__(self, "arc_mask", mask)
 
     @property
     def length_km(self) -> float:
@@ -212,22 +218,22 @@ def assign_spectrum(
     """
     gb = policy.gb
     demand = req.demand_slots
+    slots = state.slots
     inspections = 0
-    block_lists: list[list[SlotRange]] = []
+    masks: list[int] = []
 
     for route in routes:
-        blocks = state.free_blocks(route.arcs, gb)
-        inspections += len(route.arcs) * state.slots
-        block_lists.append(blocks)
-        if blocks:
-            best = _largest(blocks)
-            if best.length >= demand:
-                if stats is not None:
-                    stats["phase2_slot_inspections"] = (
-                        stats.get("phase2_slot_inspections", 0) + inspections
-                    )
-                band = SpectrumPath(route.arcs, SlotRange(best.start, demand), route.delay_ps)
-                return Solution((band,))
+        free = state.free_mask(route.arcs, gb)
+        inspections += len(route.arcs) * slots
+        masks.append(free)
+        if fits(free, demand):
+            if stats is not None:
+                stats["phase2_slot_inspections"] = (
+                    stats.get("phase2_slot_inspections", 0) + inspections
+                )
+            best = _largest(runs(free))
+            band = SpectrumPath(route.arcs, SlotRange(best.start, demand), route.delay_ps)
+            return Solution((band,))
 
     if stats is not None:
         stats["phase2_slot_inspections"] = (
@@ -236,20 +242,18 @@ def assign_spectrum(
     if policy.mode != MODE_PARALLEL:
         return None
 
-    # delay, then start, then path rank: deterministic candidate order
+    # delay, then start, then path rank: deterministic candidate order (no two
+    # candidates share a rank and a start, so the routes are never compared)
     candidates = sorted(
-        (
-            (route.delay_ps, block.start, rank, route, block)
-            for rank, (route, blocks) in enumerate(zip(routes, block_lists))
-            for block in blocks
-        ),
-        key=lambda c: c[:3],
+        (route.delay_ps, block.start, rank, route, block)
+        for rank, (route, free) in enumerate(zip(routes, masks))
+        for block in runs(free)
     )
     if not candidates:
         return None
 
     anchor_delay = candidates[0][0]
-    accepted: list[SpectrumPath] = []
+    accepted: list[tuple[int, SpectrumPath]] = []  # (route arc_mask, band)
     total = 0
     for delay, _start, _rank, route, block in candidates:
         if delay - anchor_delay > policy.max_dd_ps:
@@ -257,21 +261,16 @@ def assign_spectrum(
         take = min(block.length, demand - total)
         band_range = SlotRange(block.start, take)
         conflict = any(
-            route.arc_id_set & _arc_ids_of(acc)
-            and not ranges_clear(acc.range, band_range, gb)
-            for acc in accepted
+            route.arc_mask & acc_mask and not ranges_clear(acc.range, band_range, gb)
+            for acc_mask, acc in accepted
         )
         if conflict:
             continue
-        accepted.append(SpectrumPath(route.arcs, band_range, route.delay_ps))
+        accepted.append((route.arc_mask, SpectrumPath(route.arcs, band_range, route.delay_ps)))
         total += take
         if total == demand:
-            return Solution(tuple(accepted))
+            return Solution(tuple(band for _, band in accepted))
     return None
-
-
-def _arc_ids_of(band: SpectrumPath) -> set[int]:
-    return {a.id for a in band.arcs}
 
 
 def serve(

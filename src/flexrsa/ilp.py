@@ -162,6 +162,10 @@ def build_model(
     fiber = fiber_params or FiberParams()
     routes = _normalize_paths(candidate_paths)
     npaths = len(routes)
+    if demand > npaths * slots:
+        raise ModelError(
+            f"demand {demand} exceeds the capacity |P|*|F| = {npaths}*{slots} = {npaths * slots}"
+        )
     route_ids = [tuple(a.id for a in arcs) for arcs in routes]
     route_sets = [set(ids) for ids in route_ids]
     arc_by_id = {a.id: a for arcs in routes for a in arcs}

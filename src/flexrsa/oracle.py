@@ -143,7 +143,7 @@ def check_bands(
     for ai in range(len(chosen)):
         for bi in range(ai + 1, len(chosen)):
             (pa, ba), (pb, bb) = chosen[ai], chosen[bi]
-            if paths[pa].arc_id_set & paths[pb].arc_id_set and not _gap_ok(ba, bb, gb):
+            if paths[pa].arc_mask & paths[pb].arc_mask and not _gap_ok(ba, bb, gb):
                 return False
             skew = 0
             if include_gvd:
@@ -224,7 +224,7 @@ def exact_solve(
                     return False
             if max_bands_per_path is not None and cpi == pi and per_path >= max_bands_per_path:
                 return False
-            if routes[cpi].arc_id_set & routes[pi].arc_id_set and not _gap_ok(crng, rng, gb):
+            if routes[cpi].arc_mask & routes[pi].arc_mask and not _gap_ok(crng, rng, gb):
                 return False
             dd = abs(routes[cpi].delay_ps - routes[pi].delay_ps) + cskew + skew
             if dd > max_dd_ps:

@@ -6,9 +6,13 @@ GB, i.e. at least GB free slots between them.  GB=0 therefore permits
 adjacency.  The spectrum edges (slot 0 and slot F-1) need no guard.
 
 Each arc's occupancy is one Python ``int``: bit i set means slot i is taken.
-A path's occupancy is the OR of its arcs' masks, so the inner scan
-(``free_blocks``, the hot kernel of the whole package) reads free runs off
-one integer.
+The hot kernel of the whole package works on one integer per path:
+``SpectrumState.free_mask`` ORs the arcs' masks and grows the taken bits by
+the guard band, so the set bits of the result are exactly the slots a band
+may use, and :func:`fits` tests for a run of ``length`` such slots in
+O(log length) integer operations.  :func:`runs` turns a mask into ranges
+only when a caller needs them.  ``free_blocks`` is the validated boundary:
+it checks the path and the guard band, then reads the runs of its mask.
 """
 
 from __future__ import annotations
@@ -69,6 +73,34 @@ def _mask(start: int, length: int) -> int:
     return ((1 << length) - 1) << start
 
 
+def runs(free: int) -> list[SlotRange]:
+    """The maximal runs of set bits in ``free``, sorted by start."""
+    blocks: list[SlotRange] = []
+    while free:
+        low = free & -free
+        start = low.bit_length() - 1  # first slot of the lowest run
+        past = free + low  # carry clears the run and sets the slot after it
+        end = (past & -past).bit_length() - 1  # one past the run's last slot
+        free &= past
+        blocks.append(SlotRange(start, end - start))
+    return blocks
+
+
+def fits(free: int, length: int) -> bool:
+    """True when ``free`` has a run of at least ``length`` set bits.
+
+    Erosion: bit i stays set only while bits i .. i+covered-1 are all set.
+    Each ``free &= free >> step`` adds ``step`` to ``covered``, and the step
+    doubles until ``covered`` reaches ``length``: O(log length) rounds.
+    """
+    covered = 1
+    while covered < length and free:
+        step = min(covered, length - covered)
+        free &= free >> step
+        covered += step
+    return free != 0
+
+
 def ranges_clear(a: SlotRange, b: SlotRange, gb: int) -> bool:
     """True when two ranges keep the required strictly-greater-than-gb gap."""
     if a.start > b.start:
@@ -82,11 +114,28 @@ class SpectrumState:
     def __init__(self, net: Network):
         self.net = net
         self.slots = net.slots_per_link
+        self._full = _mask(0, self.slots)
         self._occ: list[int] = [0] * net.num_arcs
         self._allocs: dict[int, _Alloc] = {}
         self._next_id = 1
 
     # -- queries ---------------------------------------------------------
+
+    def free_mask(self, arcs: Sequence[Link], gb: int) -> int:
+        """Slots where a band on ``arcs`` may sit, one bit per slot.
+
+        A slot qualifies when it is free on every arc and more than ``gb``
+        slots from any taken one; spectrum edges need no guard.  The arcs
+        are not checked to form a path (see :meth:`free_blocks`).
+        """
+        occ = self._occ
+        taken = 0
+        for link in arcs:
+            taken |= occ[link.id]
+        grown = taken
+        for shift in range(1, gb + 1):
+            grown |= taken << shift | taken >> shift
+        return self._full & ~grown
 
     def free_blocks(self, fiber_path: Sequence[Link], gb: int) -> list[SlotRange]:
         """Maximal ranges free on every arc after guard-band shrinking.
@@ -96,25 +145,8 @@ class SpectrumState:
         """
         if gb < 0:
             raise SpectrumError(f"negative guard band: {gb}")
-        taken = 0
-        for arc in _arc_ids(fiber_path):
-            taken |= self._occ[arc]
-        slots = self.slots
-        free = ~taken & _mask(0, slots)
-        blocks: list[SlotRange] = []
-        while free:
-            low = free & -free
-            start = low.bit_length() - 1  # first free slot of the lowest run
-            past = free + low  # carry clears the run and sets the slot after it
-            end = (past & -past).bit_length() - 1  # one past the run's last slot
-            free &= past
-            if start > 0:
-                start += gb
-            if end < slots:
-                end -= gb
-            if end > start:
-                blocks.append(SlotRange(start, end - start))
-        return blocks
+        _arc_ids(fiber_path)  # raises unless the arcs form a path
+        return runs(self.free_mask(fiber_path, gb))
 
     def occupied_by_arc(self) -> dict[int, tuple[int, ...]]:
         """Occupied slot indices per arc id (only arcs with any occupancy)."""
@@ -175,6 +207,7 @@ class SpectrumState:
         clone = SpectrumState.__new__(SpectrumState)
         clone.net = self.net
         clone.slots = self.slots
+        clone._full = self._full
         clone._occ = list(self._occ)
         clone._allocs = dict(self._allocs)
         clone._next_id = self._next_id

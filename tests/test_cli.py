@@ -496,6 +496,10 @@ class TestExportIlp:
             (["--paths", "0"], "bad paths 0: expected >= 1"),
             (["--max-dd-us", "-3"], "bad max_dd_us -3.0: expected >= 0"),
             (["--max-dd-us", "nan"], "bad max_dd_us nan: expected finite float"),
+            # two routes of 8 slots hold at most 16: the model would be infeasible
+            (["--tr", "100"],
+             "bad tr 100 for Seattle -> NewYork: demand 100 exceeds the capacity |P|*|F| = 2*8 = 16"),
+            (["--tr", "17"], "bad tr 17 for Seattle -> NewYork: demand 17 exceeds the capacity"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
@@ -508,6 +512,17 @@ class TestExportIlp:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not lp_out.exists()
+
+
+    def test_demand_at_capacity_accepted(self, tmp_path, capsys):
+        lp_out = tmp_path / "m.lp"
+        rc = main(
+            ["export-ilp", "--topology", "abilene", "--slots", "8", "--paths", "2",
+             "--tr", "16", "--out", str(lp_out)]
+        )
+        assert rc == 0
+        assert "|P|=2 |F|=8" in capsys.readouterr().out
+        assert lp_out.exists()
 
 
 class TestOracleCheck:

@@ -1,6 +1,8 @@
 import hashlib
+import pickle
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from flexrsa import heuristic
 from flexrsa.heuristic import (
     PolicyParams,
     Request,
+    Route,
     assign_spectrum,
     compute_fiber_paths,
     release_solution,
@@ -17,7 +20,7 @@ from flexrsa.oracle import enumerate_routes
 from flexrsa.spectrum import SlotRange, SpectrumState
 from flexrsa.topology import load_topology
 
-from util import make_net, paint
+from util import make_net, paint, reference_assign_spectrum
 
 US_TEXT = resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text()
 US_NET = load_topology(US_TEXT, slots_per_link=16)
@@ -323,6 +326,76 @@ class TestServe:
             state, US_NET, Request("Seattle", "Miami", 4), PolicyParams(), fiber_params=FiberParams()
         )
         assert sol.paths[0].gvd_ps > 0
+
+
+class TestMaskPlanner:
+    """The mask planner against the block-list planner it replaced."""
+
+    @pytest.mark.parametrize("ledger_seed", [0, 1, 2])
+    def test_same_plans_on_served_us_ledgers(self, ledger_seed):
+        net = load_topology(US_TEXT, slots_per_link=128)
+        rng = random.Random(f"mask-planner/{ledger_seed}")
+        state = SpectrumState(net)
+        fill = PolicyParams(mode="pt", k=10, gb=rng.randint(0, 2))
+        served = []
+        for _ in range(600):
+            src, dst = rng.sample(net.nodes, 2)
+            sol = serve(state, net, Request(src, dst, rng.randint(1, 16)), fill)
+            if sol is not None:
+                served.append(sol)
+        # release a random half so the ledger is fragmented
+        for sol in rng.sample(served, len(served) // 2):
+            release_solution(state, sol)
+        shapes = set()
+        for _ in range(40):
+            src, dst = rng.sample(net.nodes, 2)
+            req = Request(src, dst, rng.randint(1, 40))
+            routes = heuristic.cached_fiber_paths(net, src, dst, 10)
+            for mode in ("st", "pt"):
+                for gb in (0, 1, 2):
+                    for max_dd_ps in (0, 250_000_000, 128_000_000_000):
+                        policy = PolicyParams(mode=mode, k=10, gb=gb, max_dd_ps=max_dd_ps)
+                        got_stats, want_stats = {}, {}
+                        got = assign_spectrum(state, routes, req, policy, stats=got_stats)
+                        want = reference_assign_spectrum(state, routes, req, policy, want_stats)
+                        assert got == want, (src, dst, req.demand_slots, policy)
+                        assert got_stats == want_stats
+                        shapes.add(None if got is None else min(len(got.paths), 2))
+        # blocked, one-band and aggregated plans all occur
+        assert shapes == {None, 1, 2}
+
+
+class TestRoute:
+    def route(self):
+        return compute_fiber_paths(US_NET, "Seattle", "Miami", 1)[0]
+
+    def test_slotted(self):
+        route = self.route()
+        assert not hasattr(route, "__dict__")
+
+    def test_arc_mask_has_one_bit_per_arc(self):
+        route = self.route()
+        assert route.arc_mask == sum(1 << a.id for a in route.arcs)
+        # routes travel pickled inside the network's memo under --jobs N
+        assert pickle.loads(pickle.dumps(route)).arc_mask == route.arc_mask
+
+    def test_arc_mask_left_out_of_equality_hash_and_repr(self):
+        route = self.route()
+        twin = Route(route.arcs, route.nodes, route.delay_ps)
+        object.__setattr__(twin, "arc_mask", 0)
+        assert twin == route and hash(twin) == hash(route)
+        assert repr(twin) == repr(route) and "arc_mask" not in repr(route)
+
+    def test_frozenset_property_gone_from_code_and_tests(self):
+        root = Path(__file__).resolve().parent.parent
+        name = "arc_id" + "_set"
+        users = [
+            str(path.relative_to(root))
+            for folder in ("src", "tests")
+            for path in (root / folder).rglob("*.py")
+            if name in path.read_text()
+        ]
+        assert users == []
 
 
 def test_request_validation():

@@ -93,6 +93,15 @@ class TestModelShape:
                 slots=4, gb=gb, max_dd_ps=max_dd_ps,
             )
 
+    def test_demand_above_path_capacity_rejected(self):
+        net = make_net([("S", "A", 100), ("A", "D", 100), ("S", "D", 300)], slots=4)
+        routes = compute_fiber_paths(net, "S", "D", 2)
+        assert len(routes) == 2
+        with pytest.raises(ilp.ModelError, match=r"demand 9 exceeds the capacity \|P\|\*\|F\| = 2\*4 = 8"):
+            ilp.build_model(net, "S", "D", 9, routes, slots=4)
+        model = ilp.build_model(net, "S", "D", 8, routes, slots=4)
+        assert model.meta.demand == 8
+
     def test_only_linear_families_present(self):
         _, _, model = diamond_model(gb=2)
         assert {c.family for c in model.constraints} <= set(ilp.FAMILIES)

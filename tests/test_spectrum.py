@@ -5,9 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flexrsa
-from flexrsa.spectrum import SlotRange, SpectrumError, ConflictError, SpectrumState, _Alloc
+from flexrsa.spectrum import (
+    SlotRange, SpectrumError, ConflictError, SpectrumState, _Alloc, fits, runs,
+)
 
 from util import make_net, oracle_blocks, occupancy_rows, paint
 
@@ -84,6 +87,66 @@ class TestFreeBlocks:
             for link, bits in zip(path, rows):
                 paint(state, link, bits)
             assert state.free_blocks(path, gb) == oracle_blocks(rows, gb), (rows, gb)
+
+
+WIDTHS = [1, 7, 64, 65, 128]  # 64 and 65 straddle a machine word
+
+
+@st.composite
+def painted_path(draw):
+    """A 1-3 arc chain with random occupancy: (state, path, rows, gb)."""
+    slots = draw(st.sampled_from(WIDTHS))
+    arcs = draw(st.integers(1, 3))
+    rows = [
+        "".join(draw(st.lists(st.sampled_from("01"), min_size=slots, max_size=slots)))
+        for _ in range(arcs)
+    ]
+    nodes = "ABCD"
+    net = make_net([(nodes[i], nodes[i + 1], 100) for i in range(arcs)], slots=slots)
+    path = tuple(
+        next(l for l in net.outgoing(nodes[i]) if l.dst == nodes[i + 1]) for i in range(arcs)
+    )
+    state = SpectrumState(net)
+    for link, bits in zip(path, rows):
+        paint(state, link, bits)
+    return state, path, rows, draw(st.integers(0, 3))
+
+
+@st.composite
+def width_and_mask(draw):
+    slots = draw(st.sampled_from(WIDTHS))
+    full = (1 << slots) - 1
+    return slots, draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+
+
+class TestFreeMask:
+    @settings(deadline=None)
+    @given(painted_path())
+    def test_runs_match_brute_force(self, case):
+        state, path, rows, gb = case
+        assert runs(state.free_mask(path, gb)) == oracle_blocks(rows, gb)
+
+    @settings(deadline=None)
+    @given(width_and_mask())
+    def test_fits_matches_longest_run(self, case):
+        slots, mask = case
+        longest = max((r.length for r in runs(mask)), default=0)
+        for length in range(1, slots + 2):
+            assert fits(mask, length) == (longest >= length), (mask, length)
+
+    @pytest.mark.parametrize("slots", WIDTHS)
+    def test_fits_on_empty_and_full_masks(self, slots):
+        full = (1 << slots) - 1
+        assert not any(fits(0, length) for length in range(1, slots + 2))
+        assert all(fits(full, length) for length in range(1, slots + 1))
+        assert not fits(full, slots + 1)
+
+    def test_edges_need_no_guard(self):
+        _, state, path = single_arc_state(8)
+        assert state.free_mask(path, 3) == 0b11111111
+        paint(state, path[0], "00010000")
+        # slot 3 taken, gb=1: slots 2 and 4 fall, 0..1 and 5..7 stay
+        assert runs(state.free_mask(path, 1)) == [(0, 2), (5, 3)]
 
 
 class TestAllocate:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from flexrsa.spectrum import SlotRange, SpectrumState
+from flexrsa.heuristic import MODE_PARALLEL, Solution
+from flexrsa.spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
 from flexrsa.topology import Network, load_topology
 
 
@@ -61,6 +62,74 @@ def oracle_blocks(occupied_rows: list[str], gb: int) -> list[tuple[int, int]]:
             blocks.append((start, i - start))
             start = None
     return blocks
+
+
+def reference_assign_spectrum(state, routes, req, policy, stats=None):
+    """The block-list planner that ``heuristic.assign_spectrum`` replaced.
+
+    It reads each route's free blocks with ``free_blocks`` and compares arc-id
+    sets for shared arcs; the mask planner must return the same plan and
+    count the same slot inspections.
+    """
+
+    def largest(blocks):
+        return max(blocks, key=lambda b: (b.length, -b.start))
+
+    def record(inspections):
+        if stats is not None:
+            stats["phase2_slot_inspections"] = (
+                stats.get("phase2_slot_inspections", 0) + inspections
+            )
+
+    gb = policy.gb
+    demand = req.demand_slots
+    inspections = 0
+    block_lists = []
+    for route in routes:
+        blocks = state.free_blocks(route.arcs, gb)
+        inspections += len(route.arcs) * state.slots
+        block_lists.append(blocks)
+        if blocks:
+            best = largest(blocks)
+            if best.length >= demand:
+                record(inspections)
+                band = SpectrumPath(route.arcs, SlotRange(best.start, demand), route.delay_ps)
+                return Solution((band,))
+    record(inspections)
+    if policy.mode != MODE_PARALLEL:
+        return None
+
+    candidates = sorted(
+        (
+            (route.delay_ps, block.start, rank, route, block)
+            for rank, (route, blocks) in enumerate(zip(routes, block_lists))
+            for block in blocks
+        ),
+        key=lambda c: c[:3],
+    )
+    if not candidates:
+        return None
+    anchor_delay = candidates[0][0]
+    accepted = []
+    total = 0
+    for delay, _start, _rank, route, block in candidates:
+        if delay - anchor_delay > policy.max_dd_ps:
+            break
+        take = min(block.length, demand - total)
+        band_range = SlotRange(block.start, take)
+        route_ids = {a.id for a in route.arcs}
+        conflict = any(
+            route_ids & {a.id for a in acc.arcs}
+            and not ranges_clear(acc.range, band_range, gb)
+            for acc in accepted
+        )
+        if conflict:
+            continue
+        accepted.append(SpectrumPath(route.arcs, band_range, route.delay_ps))
+        total += take
+        if total == demand:
+            return Solution(tuple(accepted))
+    return None
 
 
 def occupancy_rows(state: SpectrumState, arcs) -> list[str]:
