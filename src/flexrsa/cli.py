@@ -203,7 +203,12 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
         ("arrival_rate", [cfg["arrival_rate"]], lambda v: v > 0, "> 0"),
         ("speed_kms", [cfg["speed_kms"]], lambda v: v > 0, "> 0"),
         ("max_dd_us", [cfg["max_dd_us"]], lambda v: v >= 0, ">= 0"),
+        ("k", cfg["ks"], lambda v: v >= 1, ">= 1"),
         ("gb", cfg["gbs"], lambda v: v >= 0, ">= 0"),
+        ("slots", [cfg["slots"]], lambda v: v >= 1, ">= 1"),
+        ("dispersion", [cfg["dispersion"]], lambda v: v > 0, "> 0"),
+        ("fc_thz", [cfg["fc_thz"]], lambda v: v > 0, "> 0"),
+        ("slot_ghz", [cfg["slot_ghz"]], lambda v: v >= 0, ">= 0"),
         ("warmup", [cfg["warmup"]], lambda v: 0 <= v < 1, "0 <= warmup < 1"),
         ("requests", [cfg["requests"]], lambda v: v >= 1, ">= 1"),
         ("jobs", [cfg["jobs"]], lambda v: v >= 1, ">= 1"),
@@ -378,13 +383,13 @@ def cmd_probe(args) -> int:
 def cmd_export_ilp(args) -> int:
     demand = args.tr if args.tr is not None else 4
     max_dd_us = _cast("max_dd_us", M_US_PT1 if args.max_dd_us is None else args.max_dd_us, float)
+    slots = args.slots if args.slots is not None else 16
     for key, value, low in (("tr", demand, 1), ("gb", args.gb, 0), ("paths", args.paths, 1),
-                            ("max_dd_us", max_dd_us, 0)):
+                            ("max_dd_us", max_dd_us, 0), ("slots", slots, 1)):
         if value < low:
             raise ConfigError(f"bad {key} {value!r}: expected >= {low}")
     max_dd_ps = int(round(max_dd_us * 1e6))
     text = _read_topology(args.topology or _DEFAULTS["topology"])
-    slots = args.slots if args.slots is not None else 16
     net = load_topology(text, slots_per_link=slots)
     fiber = FiberParams()
     src = args.src or net.nodes[0]

@@ -15,21 +15,29 @@ Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
 whose path delay exceeds the earliest candidate's by at most the
 differential-delay bound M.  Dispersion skew is deliberately ignored in that
-check; only path diversity counts here.  Each route is read once, as its
-guard-shrunk free mask (``SpectrumState.free_mask``): step 1 asks the mask
-whether the demand fits and turns it into blocks only on the route that
-takes it, and step 2 reads its fragments off the same masks.  Two bands
-share an arc when their routes' ``arc_mask`` bits meet.
+check; only path diversity counts here.  Both steps read the ledger through
+one ``SpectrumState.scan`` call per request: step 1 stops at the first route
+whose guard-shrunk free mask holds the demand and turns only that mask into
+blocks.  Step 2 walks the non-empty masks the scan read (empty ones are
+skipped) in (delay, rank) order, one equal-delay group at a time: it extracts
+the group's fragments, sorts them by (start, rank) and feeds them to the
+greedy, and stops as soon as the demand is met or the delay passes the
+anchor (the earliest non-empty route) plus M.  That is the candidate order of
+one global (delay, start, rank) sort, so the plan is the same, but routes past
+the stop are never read into blocks.  Two bands share an arc when their
+routes' ``arc_mask`` bits meet.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps
-from .spectrum import SlotRange, SpectrumPath, SpectrumState, fits, ranges_clear, runs
+from .spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear, runs
 from .topology import Link, Network
 
 MODE_SINGLE = "st"
@@ -218,58 +226,46 @@ def assign_spectrum(
     """
     gb = policy.gb
     demand = req.demand_slots
-    slots = state.slots
-    inspections = 0
-    masks: list[int] = []
-
-    for route in routes:
-        free = state.free_mask(route.arcs, gb)
-        inspections += len(route.arcs) * slots
-        masks.append(free)
-        if fits(free, demand):
-            if stats is not None:
-                stats["phase2_slot_inspections"] = (
-                    stats.get("phase2_slot_inspections", 0) + inspections
-                )
-            best = _largest(runs(free))
-            band = SpectrumPath(route.arcs, SlotRange(best.start, demand), route.delay_ps)
-            return Solution((band,))
-
+    hit, masks = state.scan((route.arcs for route in routes), gb, demand)
     if stats is not None:
-        stats["phase2_slot_inspections"] = (
-            stats.get("phase2_slot_inspections", 0) + inspections
+        read = routes if hit is None else routes[: hit + 1]
+        stats["phase2_slot_inspections"] = stats.get("phase2_slot_inspections", 0) + (
+            state.slots * sum(len(route.arcs) for route in read)
         )
-    if policy.mode != MODE_PARALLEL:
+    if hit is not None:
+        route = routes[hit]
+        best = _largest(runs(masks[-1][1]))  # the hit's mask comes last
+        band = SpectrumPath(route.arcs, SlotRange(best.start, demand), route.delay_ps)
+        return Solution((band,))
+    if policy.mode != MODE_PARALLEL or not masks:
         return None
 
-    # delay, then start, then path rank: deterministic candidate order (no two
-    # candidates share a rank and a start, so the routes are never compared)
-    candidates = sorted(
-        (route.delay_ps, block.start, rank, route, block)
-        for rank, (route, free) in enumerate(zip(routes, masks))
-        for block in runs(free)
-    )
-    if not candidates:
-        return None
-
-    anchor_delay = candidates[0][0]
+    # (delay, rank) is unique, so the masks are never compared
+    order = sorted((routes[rank].delay_ps, rank, free) for rank, free in masks)
+    limit = order[0][0] + policy.max_dd_ps  # anchor: the earliest non-empty route
     accepted: list[tuple[int, SpectrumPath]] = []  # (route arc_mask, band)
     total = 0
-    for delay, _start, _rank, route, block in candidates:
-        if delay - anchor_delay > policy.max_dd_ps:
+    for delay, group in groupby(order, itemgetter(0)):
+        if delay > limit:
             break
-        take = min(block.length, demand - total)
-        band_range = SlotRange(block.start, take)
-        conflict = any(
-            route.arc_mask & acc_mask and not ranges_clear(acc.range, band_range, gb)
-            for acc_mask, acc in accepted
+        # within one delay, start then rank (no two fragments share both)
+        candidates = sorted(
+            (block.start, rank, block) for _delay, rank, free in group for block in runs(free)
         )
-        if conflict:
-            continue
-        accepted.append((route.arc_mask, SpectrumPath(route.arcs, band_range, route.delay_ps)))
-        total += take
-        if total == demand:
-            return Solution(tuple(band for _, band in accepted))
+        for _start, rank, block in candidates:
+            route = routes[rank]
+            take = min(block.length, demand - total)
+            band_range = SlotRange(block.start, take)
+            conflict = any(
+                route.arc_mask & acc_mask and not ranges_clear(acc.range, band_range, gb)
+                for acc_mask, acc in accepted
+            )
+            if conflict:
+                continue
+            accepted.append((route.arc_mask, SpectrumPath(route.arcs, band_range, delay)))
+            total += take
+            if total == demand:
+                return Solution(tuple(band for _, band in accepted))
     return None
 
 

@@ -6,19 +6,22 @@ GB, i.e. at least GB free slots between them.  GB=0 therefore permits
 adjacency.  The spectrum edges (slot 0 and slot F-1) need no guard.
 
 Each arc's occupancy is one Python ``int``: bit i set means slot i is taken.
-The hot kernel of the whole package works on one integer per path:
-``SpectrumState.free_mask`` ORs the arcs' masks and grows the taken bits by
-the guard band, so the set bits of the result are exactly the slots a band
-may use, and :func:`fits` tests for a run of ``length`` such slots in
-O(log length) integer operations.  :func:`runs` turns a mask into ranges
-only when a caller needs them.  ``free_blocks`` is the validated boundary:
-it checks the path and the guard band, then reads the runs of its mask.
+The hot kernel of the whole package is :meth:`SpectrumState.scan`, the one
+place that reads the ledger for a path.  For each path in turn it ORs the
+arcs' masks and grows the taken bits by the guard band, so the set bits of
+the result (the path's free mask) are exactly the slots a band may use; it
+then tests that mask for a run of ``length`` such slots by erosion, in
+O(log length) integer operations, and stops at the first path that holds
+one.  It hands back the non-empty masks it read, so a caller turns a mask
+into ranges (:func:`runs`) only when it needs them.  ``free_blocks`` is the
+validated boundary: it checks the path and the guard band, then reads the
+runs of the path's mask from the same kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .topology import Link, Network
 
@@ -86,21 +89,6 @@ def runs(free: int) -> list[SlotRange]:
     return blocks
 
 
-def fits(free: int, length: int) -> bool:
-    """True when ``free`` has a run of at least ``length`` set bits.
-
-    Erosion: bit i stays set only while bits i .. i+covered-1 are all set.
-    Each ``free &= free >> step`` adds ``step`` to ``covered``, and the step
-    doubles until ``covered`` reaches ``length``: O(log length) rounds.
-    """
-    covered = 1
-    while covered < length and free:
-        step = min(covered, length - covered)
-        free &= free >> step
-        covered += step
-    return free != 0
-
-
 def ranges_clear(a: SlotRange, b: SlotRange, gb: int) -> bool:
     """True when two ranges keep the required strictly-greater-than-gb gap."""
     if a.start > b.start:
@@ -121,21 +109,45 @@ class SpectrumState:
 
     # -- queries ---------------------------------------------------------
 
-    def free_mask(self, arcs: Sequence[Link], gb: int) -> int:
-        """Slots where a band on ``arcs`` may sit, one bit per slot.
+    def scan(
+        self, paths: Iterable[Sequence[Link]], gb: int, length: int
+    ) -> tuple[int | None, list[tuple[int, int]]]:
+        """Read paths in order until one has room for ``length`` slots.
 
-        A slot qualifies when it is free on every arc and more than ``gb``
-        slots from any taken one; spectrum edges need no guard.  The arcs
-        are not checked to form a path (see :meth:`free_blocks`).
+        A path's free mask has bit i set when slot i is free on every arc
+        and more than ``gb`` slots from any taken one; spectrum edges need
+        no guard.  Returns the index of the first path whose mask holds a
+        run of ``length`` set bits (None when no path does) and ``(index,
+        mask)`` for every non-empty mask read, in path order, ending with
+        the hit's.  The arcs are not checked to form a path (see
+        :meth:`free_blocks`).
         """
         occ = self._occ
-        taken = 0
-        for link in arcs:
-            taken |= occ[link.id]
-        grown = taken
-        for shift in range(1, gb + 1):
-            grown |= taken << shift | taken >> shift
-        return self._full & ~grown
+        full = self._full
+        shifts = range(1, gb + 1)
+        seen: list[tuple[int, int]] = []
+        for index, arcs in enumerate(paths):
+            taken = 0
+            for link in arcs:
+                taken |= occ[link.id]
+            grown = taken
+            for shift in shifts:
+                grown |= taken << shift | taken >> shift
+            free = full & ~grown
+            if not free:
+                continue
+            seen.append((index, free))
+            # erosion: bit i stays set only while bits i .. i+covered-1 are
+            # all set; each round adds ``step`` to ``covered``, and the step
+            # doubles until ``covered`` reaches ``length``
+            covered = 1
+            while covered < length and free:
+                step = covered if 2 * covered <= length else length - covered
+                free &= free >> step
+                covered += step
+            if free:
+                return index, seen
+        return None, seen
 
     def free_blocks(self, fiber_path: Sequence[Link], gb: int) -> list[SlotRange]:
         """Maximal ranges free on every arc after guard-band shrinking.
@@ -146,7 +158,8 @@ class SpectrumState:
         if gb < 0:
             raise SpectrumError(f"negative guard band: {gb}")
         _arc_ids(fiber_path)  # raises unless the arcs form a path
-        return runs(self.free_mask(fiber_path, gb))
+        _, seen = self.scan((fiber_path,), gb, 1)
+        return runs(seen[0][1]) if seen else []
 
     def occupied_by_arc(self) -> dict[int, tuple[int, ...]]:
         """Occupied slot indices per arc id (only arcs with any occupancy)."""

@@ -144,6 +144,10 @@ class TestSimulate:
             (["--warmup", "1.5"], "warmup", "1.5"),
             (["--warmup", "1"], "warmup", "1"),
             (["--warmup", "-0.1"], "warmup", "-0.1"),
+            (["--dispersion", "-17"], "dispersion", "-17"),
+            (["--dispersion", "0"], "dispersion", "0"),
+            (["--fc-thz", "0"], "fc_thz", "0"),
+            (["--slot-ghz", "-1"], "slot_ghz", "-1"),
         ],
     )
     def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
@@ -160,7 +164,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "key, value",
         [("load", "-5"), ("arrival_rate", "0"), ("speed_kms", "0"), ("max_dd_us", "-1"),
-         ("warmup", "1.5")],
+         ("warmup", "1.5"), ("dispersion", "-17"), ("fc_thz", "0"), ("slot_ghz", "-50")],
     )
     def test_out_of_range_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
         scn = tmp_path / "s.scn"
@@ -179,6 +183,9 @@ class TestSimulate:
             (["--gb", "-1"], "bad gb -1: expected >= 0"),
             (["--gb", "0,-2"], "bad gb -2: expected >= 0"),
             (["--requests", "0"], "bad requests 0: expected >= 1"),
+            (["--slots", "0"], "bad slots 0: expected >= 1"),
+            (["--k", "0"], "bad k 0: expected >= 1"),
+            (["--k", "2,0"], "bad k 0: expected >= 1"),
         ],
     )
     def test_out_of_range_integer_rejected(self, tmp_path, capsys, flags, message):
@@ -192,7 +199,9 @@ class TestSimulate:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("key, value", [("gb", "-1"), ("requests", "0")])
+    @pytest.mark.parametrize(
+        "key, value", [("gb", "-1"), ("requests", "0"), ("slots", "0"), ("k", "0")]
+    )
     def test_out_of_range_integer_in_scenario_rejected(self, tmp_path, capsys, key, value):
         scn = tmp_path / "s.scn"
         lines = {"topology": "abilene", "slots": "16", "k": "2", "tr": "2", "load": "10",
@@ -349,6 +358,8 @@ class TestProbeCommand:
             (["--probes", "0"], "bad probes 0: expected a probe count >= 1"),
             (["--spacing", "-1"], "bad spacing -1: expected >= 1"),
             (["--gb", "-1"], "bad gb -1: expected >= 0"),
+            (["--slots", "0"], "bad slots 0: expected >= 1"),
+            (["--k", "0"], "bad k 0: expected >= 1"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
@@ -390,6 +401,8 @@ class TestProbeCommand:
             (["--speed-kms", "0"], "speed_kms", "0"),
             (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
             (["--warmup", "1.5"], "warmup", "1.5"),
+            (["--dispersion", "-17"], "dispersion", "-17"),
+            (["--fc-thz", "0"], "fc_thz", "0"),
         ],
     )
     def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
@@ -412,6 +425,23 @@ class TestProbeCommand:
         assert err.startswith("error:") and "bad probes 0: expected" in err
         assert not (tmp_path / "p").exists()
 
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("slots", "0", "bad slots 0: expected >= 1"), ("k", "0", "bad k 0: expected >= 1"),
+         ("dispersion", "-17", "bad dispersion -17.0: expected > 0"),
+         ("fc_thz", "0", "bad fc_thz 0.0: expected > 0")],
+    )
+    def test_out_of_range_in_scenario_rejected(self, tmp_path, capsys, key, value, message):
+        scn = tmp_path / "p.scn"
+        lines = {"topology": "abilene", "slots": "16", "k": "2", "load": "10",
+                 "seeds": "0..0", "requests": "100", key: value}
+        scn.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        rc = main(["probe", "--scenario", str(scn), "--out", str(tmp_path / "p")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "p").exists()
     def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
         scn = tmp_path / "p.scn"
         scn.write_text("topology = us\nslots = 16\nk = 5\nload = 30\nseeds = 0..0\nbg_tr = 3-1\n")
@@ -500,6 +530,7 @@ class TestExportIlp:
             (["--tr", "100"],
              "bad tr 100 for Seattle -> NewYork: demand 100 exceeds the capacity |P|*|F| = 2*8 = 16"),
             (["--tr", "17"], "bad tr 17 for Seattle -> NewYork: demand 17 exceeds the capacity"),
+            (["--slots", "0"], "bad slots 0: expected >= 1"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):

@@ -328,6 +328,43 @@ class TestServe:
         assert sol.paths[0].gvd_ps > 0
 
 
+def served_ledger(net, rng, k, requests=600):
+    """A ledger filled by ``requests`` pt requests of 1-16 slots, then half
+    released at random so that it is fragmented."""
+    state = SpectrumState(net)
+    fill = PolicyParams(mode="pt", k=k, gb=rng.randint(0, 2))
+    served = []
+    for _ in range(requests):
+        src, dst = rng.sample(net.nodes, 2)
+        sol = serve(state, net, Request(src, dst, rng.randint(1, 16)), fill)
+        if sol is not None:
+            served.append(sol)
+    for sol in rng.sample(served, len(served) // 2):
+        release_solution(state, sol)
+    return state
+
+
+def same_plans(state, routes, req, k):
+    """Assert both planners agree on plan and slot inspections for every mode,
+    guard band and delay bound; returns the plans."""
+    plans = []
+    for mode in ("st", "pt"):
+        for gb in (0, 1, 2):
+            for max_dd_ps in (0, 250_000_000, 128_000_000_000):
+                policy = PolicyParams(mode=mode, k=k, gb=gb, max_dd_ps=max_dd_ps)
+                got_stats, want_stats = {}, {}
+                got = assign_spectrum(state, routes, req, policy, stats=got_stats)
+                want = reference_assign_spectrum(state, routes, req, policy, want_stats)
+                assert got == want, (req, policy)
+                assert got_stats == want_stats, (req, policy)
+                plans.append(got)
+    return plans
+
+
+def shapes(plans):
+    return {None if plan is None else min(len(plan.paths), 2) for plan in plans}
+
+
 class TestMaskPlanner:
     """The mask planner against the block-list planner it replaced."""
 
@@ -335,34 +372,120 @@ class TestMaskPlanner:
     def test_same_plans_on_served_us_ledgers(self, ledger_seed):
         net = load_topology(US_TEXT, slots_per_link=128)
         rng = random.Random(f"mask-planner/{ledger_seed}")
-        state = SpectrumState(net)
-        fill = PolicyParams(mode="pt", k=10, gb=rng.randint(0, 2))
-        served = []
-        for _ in range(600):
-            src, dst = rng.sample(net.nodes, 2)
-            sol = serve(state, net, Request(src, dst, rng.randint(1, 16)), fill)
-            if sol is not None:
-                served.append(sol)
-        # release a random half so the ledger is fragmented
-        for sol in rng.sample(served, len(served) // 2):
-            release_solution(state, sol)
-        shapes = set()
+        state = served_ledger(net, rng, k=10)
+        plans = []
         for _ in range(40):
             src, dst = rng.sample(net.nodes, 2)
             req = Request(src, dst, rng.randint(1, 40))
             routes = heuristic.cached_fiber_paths(net, src, dst, 10)
-            for mode in ("st", "pt"):
-                for gb in (0, 1, 2):
-                    for max_dd_ps in (0, 250_000_000, 128_000_000_000):
-                        policy = PolicyParams(mode=mode, k=10, gb=gb, max_dd_ps=max_dd_ps)
-                        got_stats, want_stats = {}, {}
-                        got = assign_spectrum(state, routes, req, policy, stats=got_stats)
-                        want = reference_assign_spectrum(state, routes, req, policy, want_stats)
-                        assert got == want, (src, dst, req.demand_slots, policy)
-                        assert got_stats == want_stats
-                        shapes.add(None if got is None else min(len(got.paths), 2))
+            plans += same_plans(state, routes, req, k=10)
         # blocked, one-band and aggregated plans all occur
-        assert shapes == {None, 1, 2}
+        assert shapes(plans) == {None, 1, 2}
+
+    @pytest.mark.parametrize("ledger_seed", [0, 1])
+    def test_same_plans_on_online_shape(self, ledger_seed):
+        # the controller workload's shape: US |F|=128, K=30 over a tr 1-16 background
+        net = load_topology(US_TEXT, slots_per_link=128)
+        rng = random.Random(f"mask-planner/online/{ledger_seed}")
+        state = served_ledger(net, rng, k=30, requests=900)
+        plans = []
+        for _ in range(30):
+            src, dst = rng.sample(net.nodes, 2)
+            req = Request(src, dst, rng.randint(1, 40))
+            plans += same_plans(state, heuristic.cached_fiber_paths(net, src, dst, 30), req, k=30)
+        assert shapes(plans) == {None, 1, 2}
+
+    def test_same_plans_with_routes_out_of_delay_order(self):
+        net = load_topology(US_TEXT, slots_per_link=128)
+        rng = random.Random("mask-planner/shuffled")
+        state = served_ledger(net, rng, k=10)
+        plans = []
+        for _ in range(30):
+            src, dst = rng.sample(net.nodes, 2)
+            routes = list(heuristic.cached_fiber_paths(net, src, dst, 10))
+            rng.shuffle(routes)
+            req = Request(src, dst, rng.randint(1, 40))
+            plans += same_plans(state, routes, req, k=10)
+        assert shapes(plans) == {None, 1, 2}
+
+    def test_same_plans_with_equal_delays(self):
+        # a 4x4 torus with equal link lengths: many routes share a delay, so
+        # fragment start and route rank order the candidates
+        names = [f"n{r}{c}" for r in range(4) for c in range(4)]
+        edges = [(f"n{r}{c}", f"n{r}{(c + 1) % 4}", 100) for r in range(4) for c in range(4)]
+        edges += [(f"n{r}{c}", f"n{(r + 1) % 4}{c}", 100) for r in range(4) for c in range(4)]
+        net = make_net(edges, slots=16)
+        rng = random.Random("mask-planner/ties")
+        state = SpectrumState(net)
+        for v in names:
+            for link in net.outgoing(v):
+                paint(state, link, "".join("1" if rng.random() < 0.3 else "0" for _ in range(16)))
+        plans = []
+        for _ in range(60):
+            src, dst = rng.sample(names, 2)
+            req = Request(src, dst, rng.randint(1, 12))
+            plans += same_plans(state, compute_fiber_paths(net, src, dst, 10), req, k=10)
+        assert shapes(plans) == {None, 1, 2}
+        # some aggregation took two bands from different routes of one delay
+        assert any(
+            len({(band.delay_ps, band.arcs) for band in plan.paths})
+            > len({band.delay_ps for band in plan.paths})
+            for plan in plans
+            if plan is not None
+        )
+
+
+class TestLazyAggregation:
+    """Step 2 turns masks into runs only until the demand is met or M is passed."""
+
+    @staticmethod
+    def ladder():
+        # six disjoint 2-arc routes S->Xi->D, route i 50 us slower than route
+        # i-1; every route offers 2+2 free slots (0-1 and 4-5)
+        net = make_net(
+            [("S", f"X{i}", 100 + 10 * i) for i in range(6)]
+            + [(f"X{i}", "D", 100) for i in range(6)],
+            slots=16,
+        )
+        state = SpectrumState(net)
+        for link in net.outgoing("S"):
+            paint(state, link, "0011001111111111")
+        routes = compute_fiber_paths(net, "S", "D", 6)
+        assert len(routes) == 6 and len({r.delay_ps for r in routes}) == 6
+        return state, routes
+
+    @staticmethod
+    def counting_runs(monkeypatch):
+        extract = heuristic.runs
+        read = []
+
+        def counted(free):
+            read.append(free)
+            return extract(free)
+
+        monkeypatch.setattr(heuristic, "runs", counted)
+        return read
+
+    def test_stops_at_the_route_that_completes_the_demand(self, monkeypatch):
+        state, routes = self.ladder()
+        read = self.counting_runs(monkeypatch)
+        sol = assign_spectrum(state, routes, Request("S", "D", 6), PolicyParams(mode="pt"))
+        # 4 slots from the fastest route, 2 from the next
+        assert [p.delay_ps for p in sol.paths] == [routes[0].delay_ps] * 2 + [routes[1].delay_ps]
+        assert len(read) == 2
+
+    def test_stops_past_anchor_plus_m(self, monkeypatch):
+        state, routes = self.ladder()
+        read = self.counting_runs(monkeypatch)
+        policy = PolicyParams(mode="pt", max_dd_ps=60_000_000)  # 60 us: routes 0 and 1
+        assert assign_spectrum(state, routes, Request("S", "D", 10), policy) is None
+        assert len(read) == 2
+
+    def test_step_one_reads_only_the_hit(self, monkeypatch):
+        state, routes = self.ladder()
+        read = self.counting_runs(monkeypatch)
+        sol = assign_spectrum(state, routes, Request("S", "D", 2), PolicyParams(mode="pt"))
+        assert sol.paths[0].range == SlotRange(0, 2) and len(read) == 1
 
 
 class TestRoute:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import flexrsa
 from flexrsa.spectrum import (
-    SlotRange, SpectrumError, ConflictError, SpectrumState, _Alloc, fits, runs,
+    SlotRange, SpectrumError, ConflictError, SpectrumState, _Alloc, runs,
 )
 
 from util import make_net, oracle_blocks, occupancy_rows, paint
@@ -112,41 +112,70 @@ def painted_path(draw):
     return state, path, rows, draw(st.integers(0, 3))
 
 
+def star(masks: list[int], slots: int):
+    """One 1-arc path A->Bi per mask, painted so that its gb=0 free mask is that mask."""
+    net = make_net([("A", f"B{i}", 100) for i in range(len(masks))], slots=slots)
+    paths = [
+        (next(l for l in net.outgoing("A") if l.dst == f"B{i}"),) for i in range(len(masks))
+    ]
+    state = SpectrumState(net)
+    for (link,), mask in zip(paths, masks):
+        paint(state, link, "".join("0" if mask >> i & 1 else "1" for i in range(slots)))
+    return state, paths
+
+
+def path_mask(state: SpectrumState, path, gb: int) -> int:
+    """The free mask that ``scan`` reads for one path (0 when it has no free slot)."""
+    _, seen = state.scan((path,), gb, 1)
+    return seen[0][1] if seen else 0
+
+
 @st.composite
-def width_and_mask(draw):
+def star_masks(draw):
     slots = draw(st.sampled_from(WIDTHS))
     full = (1 << slots) - 1
-    return slots, draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    return slots, draw(st.lists(mask, min_size=1, max_size=4))
 
 
 class TestFreeMask:
+    """The free masks and the hit test of ``SpectrumState.scan``."""
+
     @settings(deadline=None)
     @given(painted_path())
     def test_runs_match_brute_force(self, case):
         state, path, rows, gb = case
-        assert runs(state.free_mask(path, gb)) == oracle_blocks(rows, gb)
+        assert runs(path_mask(state, path, gb)) == oracle_blocks(rows, gb)
 
     @settings(deadline=None)
-    @given(width_and_mask())
+    @given(star_masks())
     def test_fits_matches_longest_run(self, case):
-        slots, mask = case
-        longest = max((r.length for r in runs(mask)), default=0)
+        # the hit is the first path whose mask has a run >= length; the scan
+        # hands back every non-empty mask up to and including the hit's
+        slots, masks = case
+        state, paths = star(masks, slots)
+        longest = [max((r.length for r in runs(m)), default=0) for m in masks]
         for length in range(1, slots + 2):
-            assert fits(mask, length) == (longest >= length), (mask, length)
+            hit = next((i for i, run in enumerate(longest) if run >= length), None)
+            read = masks if hit is None else masks[: hit + 1]
+            want = [(i, m) for i, m in enumerate(read) if m]
+            assert state.scan(iter(paths), 0, length) == (hit, want), (masks, length)
 
     @pytest.mark.parametrize("slots", WIDTHS)
     def test_fits_on_empty_and_full_masks(self, slots):
         full = (1 << slots) - 1
-        assert not any(fits(0, length) for length in range(1, slots + 2))
-        assert all(fits(full, length) for length in range(1, slots + 1))
-        assert not fits(full, slots + 1)
+        state, (empty, open_path) = star([0, full], slots)
+        assert all(state.scan([empty], 0, n) == (None, []) for n in range(1, slots + 2))
+        for length in range(1, slots + 1):
+            assert state.scan([empty, open_path], 0, length) == (1, [(1, full)])
+        assert state.scan([empty, open_path], 0, slots + 1) == (None, [(1, full)])
 
     def test_edges_need_no_guard(self):
         _, state, path = single_arc_state(8)
-        assert state.free_mask(path, 3) == 0b11111111
+        assert path_mask(state, path, 3) == 0b11111111
         paint(state, path[0], "00010000")
         # slot 3 taken, gb=1: slots 2 and 4 fall, 0..1 and 5..7 stay
-        assert runs(state.free_mask(path, 1)) == [(0, 2), (5, 3)]
+        assert runs(path_mask(state, path, 1)) == [(0, 2), (5, 3)]
 
 
 class TestAllocate:
