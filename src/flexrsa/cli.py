@@ -4,7 +4,8 @@ Scenario files are flat ``key = value`` text (comma-separated lists for grid
 keys); explicit command-line flags override scenario values, which override
 built-in defaults.  Grid runs write two CSVs (metrics + band-count
 distribution) atomically, so a scenario plus a seed fully determines every
-output byte.
+output byte, and print one summary row per cell key (mean over seeds and its
+95% t half-width).
 
 Policy tokens: ``st`` (single band), ``pt`` (multipath, bound set by
 --max-dd-us), ``pt1`` (multipath, 128 ms: off-chip buffering) and ``pt2``
@@ -23,7 +24,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 
-from . import crossval, ilp, sim
+from . import crossval, ilp, oracle, sim
 from .heuristic import PolicyParams, compute_fiber_paths
 from .physics import FiberParams
 from .topology import TopologyError, load_topology
@@ -110,10 +111,6 @@ def _tr_max(tr: int | tuple[int, int]) -> int:
     return tr if isinstance(tr, int) else tr[1]
 
 
-def _tr_label(tr: int | tuple[int, int]) -> str:
-    return str(tr) if isinstance(tr, int) else f"{tr[0]}-{tr[1]}"
-
-
 def _parse_list(key: str, token, cast=str) -> list:
     return [_cast(key, t.strip(), cast) for t in str(token).split(",") if t.strip()]
 
@@ -184,6 +181,17 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
+def _check(limits) -> None:
+    """Reject the first value outside its range, naming key and value.
+
+    Each limit is ``(key, values, ok, expected)``: every value must pass ``ok``.
+    """
+    for key, values, ok, expected in limits:
+        for value in values:
+            if not ok(value):
+                raise ConfigError(f"bad {key} {value!r}: expected {expected}")
+
+
 def _common_grid_config(args: argparse.Namespace) -> dict:
     scenario = load_scenario(args.scenario) if getattr(args, "scenario", None) else {}
     cfg = {}
@@ -216,10 +224,7 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     if args.command == "probe":
         limits.append(("probes", [cfg["probes"]], lambda v: v >= 1, "a probe count >= 1"))
         limits.append(("spacing", [cfg["spacing"]], lambda v: v >= 1, ">= 1"))
-    for key, values, ok, expected in limits:
-        for value in values:
-            if not ok(value):
-                raise ConfigError(f"bad {key} {value!r}: expected {expected}")
+    _check(limits)
     cfg["out"] = _merged(args, scenario, "out")
     if args.command == "probe":
         # the grid's demand axis is the background; probes draw from probe_tr
@@ -238,12 +243,15 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"empty grid: {key} gives no values")
     for tr in demands:
         if _tr_max(tr) > cfg["slots"]:
-            raise ConfigError(f"demand {_tr_label(tr)} exceeds {cfg['slots']} slots per link")
+            raise ConfigError(f"demand {sim.label(tr)} exceeds {cfg['slots']} slots per link")
     return cfg
 
 
-def _grid_cells(cfg: dict, **extra) -> list[dict]:
-    """One cell per (mode, k, gb, tr, load, seed), nested in that order, on one parsed net."""
+def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
+    """One cell per (mode, k, gb, tr, load, seed), nested in that order, on one parsed net.
+
+    ``demand`` names the cell's demand column, as in the command's output key.
+    """
     net = load_topology(
         _read_topology(cfg["topology"]),
         slots_per_link=cfg["slots"],
@@ -259,7 +267,7 @@ def _grid_cells(cfg: dict, **extra) -> list[dict]:
             "m_us": m_us,
             "k": k,
             "gb": gb,
-            "tr": tr,
+            demand: tr,
             "load": load,
             "seed": seed,
             "requests": cfg["requests"],
@@ -276,14 +284,14 @@ def _grid_cells(cfg: dict, **extra) -> list[dict]:
     ]
 
 
-def _cell_inputs(cell: dict) -> tuple:
-    """The (net, traffic, policy) that one grid cell simulates."""
+def _cell_inputs(cell: dict, demand: int | tuple[int, int]) -> tuple:
+    """The (net, traffic, policy) that one grid cell simulates at ``demand``."""
     traffic = sim.TrafficConfig(
         mean_holding=cell["load"] / cell["arrival_rate"],
         requests=cell["requests"],
         seed=cell["seed"],
         arrival_rate=cell["arrival_rate"],
-        demand=cell["tr"],
+        demand=demand,
         warmup_frac=cell["warmup"],
     )
     policy = PolicyParams(
@@ -295,18 +303,13 @@ def _cell_inputs(cell: dict) -> tuple:
     return cell["net"], traffic, policy
 
 
-def _row_params(cell: dict) -> dict:
-    """Output columns shared by every grid CSV."""
-    return {key: cell[key] for key in ("load", "policy", "m_us", "k", "gb", "seed")}
-
-
 def _sim_cell(cell: dict) -> sim.Metrics:
-    return sim.run(*_cell_inputs(cell), cell["fiber"])
+    return sim.run(*_cell_inputs(cell, cell["tr"]), cell["fiber"])
 
 
 def _probe_cell(cell: dict) -> sim.ProbeMetrics:
     return sim.probe_run(
-        *_cell_inputs(cell),
+        *_cell_inputs(cell, cell["bg_tr"]),
         cell["fiber"],
         probe_demand=cell["probe_tr"],
         probes=cell["probes"],
@@ -323,26 +326,12 @@ def _run_grid(cells: list[dict], worker, jobs: int) -> list:
 
 def cmd_simulate(args) -> int:
     cfg = _common_grid_config(args)
-    cells = _grid_cells(cfg)
-    results = _run_grid(cells, _sim_cell, cfg["jobs"])
-    entries = [
-        ({**_row_params(cell), "tr": _tr_label(cell["tr"])}, metrics)
-        for cell, metrics in zip(cells, results)
-    ]
+    cells = _grid_cells(cfg, "tr")
+    entries = list(zip(cells, _run_grid(cells, _sim_cell, cfg["jobs"])))
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "metrics.csv"), sim.metrics_csv(entries))
     _write_atomic(os.path.join(out, "path_dist.csv"), sim.distribution_csv(entries))
-
-    print(f"{'load':>8} {'policy':>8} {'gb':>3} {'tr':>5} {'blocking':>10} {'agg':>8}")
-    summary: dict[tuple, list[sim.Metrics]] = {}
-    for params, metrics in entries:
-        summary.setdefault(
-            (params["load"], params["policy"], params["gb"], params["tr"]), []
-        ).append(metrics)
-    for (load, policy, gb, tr), ms in summary.items():
-        blocking = sum(m.blocking_prob for m in ms) / len(ms)
-        agg = sum(m.aggregation_ratio for m in ms) / len(ms)
-        print(f"{load:>8g} {policy:>8} {gb:>3} {tr:>5} {blocking:>10.6f} {agg:>8.4f}")
+    print(sim.summary(entries, sim.SIM_KEY, ("blocking_prob", "aggregation_ratio")), end="")
     print(f"wrote {out}/metrics.csv and {out}/path_dist.csv")
     return 0
 
@@ -351,46 +340,31 @@ def cmd_probe(args) -> int:
     cfg = _common_grid_config(args)
     cells = _grid_cells(
         cfg,
+        "bg_tr",
         probe_tr=cfg["probe_tr"],
         probes=cfg["probes"],
         spacing=cfg["spacing"],
     )
-    results = _run_grid(cells, _probe_cell, cfg["jobs"])
-    entries = [
-        (
-            {
-                **_row_params(cell),
-                "bg_tr": _tr_label(cell["tr"]),
-                "probe_tr": _tr_label(cell["probe_tr"]),
-            },
-            pm,
-        )
-        for cell, pm in zip(cells, results)
-    ]
+    entries = list(zip(cells, _run_grid(cells, _probe_cell, cfg["jobs"])))
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "probe.csv"), sim.probe_csv(entries))
-    print(f"{'load':>8} {'policy':>8} {'k':>4} {'probe_blocking':>15}")
-    summary: dict[tuple, list[sim.ProbeMetrics]] = {}
-    for params, pm in entries:
-        summary.setdefault((params["load"], params["policy"], params["k"]), []).append(pm)
-    for (load, policy, k), pms in summary.items():
-        mean = sum(p.probe_blocking for p in pms) / len(pms)
-        print(f"{load:>8g} {policy:>8} {k:>4} {mean:>15.6f}")
+    print(sim.summary(entries, sim.PROBE_KEY, ("probe_blocking",)), end="")
     print(f"wrote {out}/probe.csv")
     return 0
 
 
 def cmd_export_ilp(args) -> int:
-    demand = args.tr if args.tr is not None else 4
-    max_dd_us = _cast("max_dd_us", M_US_PT1 if args.max_dd_us is None else args.max_dd_us, float)
-    slots = args.slots if args.slots is not None else 16
-    for key, value, low in (("tr", demand, 1), ("gb", args.gb, 0), ("paths", args.paths, 1),
-                            ("max_dd_us", max_dd_us, 0), ("slots", slots, 1)):
-        if value < low:
-            raise ConfigError(f"bad {key} {value!r}: expected >= {low}")
+    demand, slots = args.tr, args.slots
+    max_dd_us = _cast("max_dd_us", args.max_dd_us, float)
+    _check([
+        ("tr", [demand], lambda v: v >= 1, ">= 1"),
+        ("gb", [args.gb], lambda v: v >= 0, ">= 0"),
+        ("paths", [args.paths], lambda v: v >= 1, ">= 1"),
+        ("max_dd_us", [max_dd_us], lambda v: v >= 0, ">= 0"),
+        ("slots", [slots], lambda v: v >= 1, ">= 1"),
+    ])
     max_dd_ps = int(round(max_dd_us * 1e6))
-    text = _read_topology(args.topology or _DEFAULTS["topology"])
-    net = load_topology(text, slots_per_link=slots)
+    net = load_topology(_read_topology(args.topology), slots_per_link=slots)
     fiber = FiberParams()
     src = args.src or net.nodes[0]
     dst = args.dst or net.nodes[-1]
@@ -436,11 +410,21 @@ def cmd_export_ilp(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    budget = oracle.OracleLimits()  # larger instances raise BudgetExceeded in the oracle
+    _check([
+        ("instances", [args.instances], lambda v: v >= 1, ">= 1"),
+        ("max_nodes", [args.max_nodes], lambda v: 3 <= v <= budget.max_nodes,
+         f"3 <= max_nodes <= {budget.max_nodes}"),
+        ("slots", [args.slots], lambda v: 1 <= v <= budget.max_slots,
+         f"1 <= slots <= {budget.max_slots}"),
+        ("max_demand", [args.max_demand], lambda v: v >= 1, ">= 1"),
+        ("k", [args.k], lambda v: v >= 1, ">= 1"),
+    ])
     failures = crossval.cross_validate(
         args.seed,
         args.instances,
         max_nodes=args.max_nodes,
-        slots=args.slots if args.slots is not None else 8,
+        slots=args.slots,
         max_demand=args.max_demand,
         k=args.k,
     )
@@ -454,9 +438,8 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_topo_info(args) -> int:
-    text = _read_topology(args.topology or _DEFAULTS["topology"])
-    slots = args.slots if args.slots is not None else 128
-    net = load_topology(text, slots_per_link=slots)
+    _check([("slots", [args.slots], lambda v: v >= 1, ">= 1")])
+    net = load_topology(_read_topology(args.topology), slots_per_link=args.slots)
     degrees = [len(net.outgoing(v)) for v in net.nodes]
     print(f"nodes: {len(net.nodes)}")
     print(f"directed arcs: {net.num_arcs}")
@@ -506,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("export-ilp", help="build one request model and export LP text")
-    p.add_argument("--topology")
-    p.add_argument("--slots", type=int)
+    p.add_argument("--topology", default=_DEFAULTS["topology"])
+    p.add_argument("--slots", type=int, default=16)
     p.add_argument("--paths", type=int, default=4, help="candidate paths |P|")
     p.add_argument("--gb", type=int, default=0)
-    p.add_argument("--max-dd-us", dest="max_dd_us", type=float)
-    p.add_argument("--tr", type=int, help="demand slots")
+    p.add_argument("--max-dd-us", dest="max_dd_us", type=float, default=M_US_PT1)
+    p.add_argument("--tr", type=int, default=4, help="demand slots")
     p.add_argument("--src")
     p.add_argument("--dst")
     p.add_argument("--all-pairs", action="store_true", help="aggregate counts over all pairs")
@@ -522,14 +505,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--max-nodes", dest="max_nodes", type=int, default=5)
-    p.add_argument("--slots", type=int)
+    p.add_argument("--slots", type=int, default=8)
     p.add_argument("--max-demand", dest="max_demand", type=int, default=4)
     p.add_argument("--k", type=int, default=4)
     p.set_defaults(fn=cmd_oracle_check)
 
     p = sub.add_parser("topo-info", help="show topology facts")
-    p.add_argument("--topology")
-    p.add_argument("--slots", type=int)
+    p.add_argument("--topology", default=_DEFAULTS["topology"])
+    p.add_argument("--slots", type=int, default=_DEFAULTS["slots"])
     p.set_defaults(fn=cmd_topo_info)
 
     return parser

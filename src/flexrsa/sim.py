@@ -8,6 +8,12 @@ offered traffic identical across policies under the same seed.
 
 Every time unit of mean inter-arrival at rate u with mean holding h offers
 u*h Erlang of load; the CLI keeps u = 1 and varies h.
+
+Grid outputs share one key per cell: ``SIM_KEY`` for ``run`` cells and
+``PROBE_KEY`` for ``probe_run`` cells.  The CSV writers print the key and the
+seed on every row; ``summary`` groups cells by the key, so it pools seeds and
+nothing else, and reports each measure's mean with the 95% Student-t
+half-width from ``interval``.
 """
 
 from __future__ import annotations
@@ -235,16 +241,6 @@ def probe_run(
     return ProbeMetrics(done, blocked)
 
 
-@dataclass(frozen=True)
-class ReplicateSummary:
-    n: int
-    blocking_mean: float
-    blocking_halfwidth: float
-    aggregation_mean: float
-    aggregation_halfwidth: float
-    runs: tuple[Metrics, ...]
-
-
 def _beta_cf(a: float, b: float, x: float, y: float) -> float:
     """I_x(a, b) by Lentz's continued fraction; ``y`` is ``1 - x``, passed exactly."""
     tiny = 1e-300
@@ -293,117 +289,110 @@ def _t_quantile(p: float, df: int) -> float:
             hi = mid
 
 
-def replicate(run_one: Callable[[int], Metrics], seeds: Sequence[int]) -> ReplicateSummary:
-    """Independent runs per seed with Student-t 95% intervals.
+def interval(values: Sequence[float]) -> tuple[float, float]:
+    """Mean and 95% Student-t half-width of independent per-seed values.
 
     The t quantile is computed here, without scipy: the regularized incomplete
     beta function by Lentz's continued fraction (Press et al., *Numerical
     Recipes*, section 6.4), inverted by bisection on the upper tail.
     """
-    if len(seeds) < 2:
-        raise ValueError("replicate needs at least 2 seeds")
-    runs = tuple(run_one(seed) for seed in seeds)
-
-    def interval(values: list[float]) -> tuple[float, float]:
-        n = len(values)
-        mean = sum(values) / n
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        if var <= 0:
-            return mean, 0.0
-        half = _t_quantile(0.975, n - 1) * math.sqrt(var / n)
-        return mean, half
-
-    b_mean, b_half = interval([m.blocking_prob for m in runs])
-    a_mean, a_half = interval([m.aggregation_ratio for m in runs])
-    return ReplicateSummary(len(seeds), b_mean, b_half, a_mean, a_half, runs)
+    n = len(values)
+    if n < 2:
+        raise ValueError("an interval needs at least 2 seeds")
+    mean = sum(values) / n
+    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    if var <= 0:
+        return mean, 0.0
+    return mean, _t_quantile(0.975, n - 1) * math.sqrt(var / n)
 
 
 # ---------------------------------------------------------------------------
-# CSV emission (consumed by external plotting, schema is the contract)
+# Grid outputs (consumed by external plotting, the CSV schema is the contract)
+
+SIM_KEY = ("load", "policy", "m_us", "k", "gb", "tr")
+PROBE_KEY = ("load", "policy", "m_us", "k", "gb", "bg_tr", "probe_tr")
 
 
-def _fmt_prob(x: float) -> str:
-    return f"{x:.6f}"
+def label(value) -> str:
+    """A key value as printed: a float by ``%g``, a demand range as ``lo-hi``."""
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, tuple):
+        return f"{value[0]}-{value[1]}"
+    return str(value)
 
 
-def _fmt_load(x: float) -> str:
-    return f"{x:g}"
+def _labels(params: dict, columns: Sequence[str]) -> list[str]:
+    return [label(params[c]) for c in columns]
+
+
+def _table(header: list[str], rows: list[list[str]], align: bool = False) -> str:
+    """Comma-separated lines, or space-separated right-aligned columns."""
+    lines = [header, *rows]
+    if align:
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        lines = [[cell.rjust(w) for cell, w in zip(line, widths)] for line in lines]
+    sep = " " if align else ","
+    return "".join(sep.join(line) + "\n" for line in lines)
 
 
 def metrics_csv(entries: Sequence[tuple[dict, Metrics]]) -> str:
-    """One row per grid cell: load,policy,m_us,k,gb,tr,seed + counters + histogram."""
-    max_paths = 1
-    for _, m in entries:
-        if m.path_histogram:
-            max_paths = max(max_paths, max(m.path_histogram))
-    header = (
-        ["load", "policy", "m_us", "k", "gb", "tr", "seed", "offered", "blocked",
-         "blocking_prob", "agg_ratio"]
-        + [f"hist_{i}" for i in range(1, max_paths + 1)]
+    """One row per grid cell: key, seed, counters, ratios and band-count histogram."""
+    top = max((max(m.path_histogram) for _, m in entries if m.path_histogram), default=1)
+    bands = range(1, top + 1)
+    header = [*SIM_KEY, "seed", "offered", "blocked", "blocking_prob", "agg_ratio"]
+    return _table(
+        header + [f"hist_{i}" for i in bands],
+        [
+            _labels(params, (*SIM_KEY, "seed"))
+            + [str(m.offered), str(m.blocked)]
+            + [f"{m.blocking_prob:.6f}", f"{m.aggregation_ratio:.6f}"]
+            + [str(m.path_histogram.get(i, 0)) for i in bands]
+            for params, m in entries
+        ],
     )
-    lines = [",".join(header)]
-    for params, m in entries:
-        row = [
-            _fmt_load(params["load"]),
-            params["policy"],
-            _fmt_load(params["m_us"]),
-            str(params["k"]),
-            str(params["gb"]),
-            str(params["tr"]),
-            str(params["seed"]),
-            str(m.offered),
-            str(m.blocked),
-            _fmt_prob(m.blocking_prob),
-            _fmt_prob(m.aggregation_ratio),
-        ] + [str(m.path_histogram.get(i, 0)) for i in range(1, max_paths + 1)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
 
 
 def distribution_csv(entries: Sequence[tuple[dict, Metrics]]) -> str:
     """Long-form band-count distribution for multipath usage plots."""
-    header = ["load", "policy", "m_us", "k", "gb", "tr", "seed", "n_paths", "count"]
-    lines = [",".join(header)]
-    for params, m in entries:
-        for n in sorted(m.path_histogram):
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_load(params["load"]),
-                        params["policy"],
-                        _fmt_load(params["m_us"]),
-                        str(params["k"]),
-                        str(params["gb"]),
-                        str(params["tr"]),
-                        str(params["seed"]),
-                        str(n),
-                        str(m.path_histogram[n]),
-                    ]
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return _table(
+        [*SIM_KEY, "seed", "n_paths", "count"],
+        [
+            _labels(params, (*SIM_KEY, "seed")) + [str(n), str(m.path_histogram[n])]
+            for params, m in entries
+            for n in sorted(m.path_histogram)
+        ],
+    )
 
 
 def probe_csv(entries: Sequence[tuple[dict, ProbeMetrics]]) -> str:
-    header = ["load", "policy", "m_us", "k", "gb", "bg_tr", "probe_tr", "seed",
-              "probes", "probe_blocked", "probe_blocking"]
-    lines = [",".join(header)]
-    for params, pm in entries:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_load(params["load"]),
-                    params["policy"],
-                    _fmt_load(params["m_us"]),
-                    str(params["k"]),
-                    str(params["gb"]),
-                    str(params["bg_tr"]),
-                    str(params["probe_tr"]),
-                    str(params["seed"]),
-                    str(pm.probes),
-                    str(pm.blocked),
-                    _fmt_prob(pm.probe_blocking),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _table(
+        [*PROBE_KEY, "seed", "probes", "probe_blocked", "probe_blocking"],
+        [
+            _labels(params, (*PROBE_KEY, "seed"))
+            + [str(pm.probes), str(pm.blocked), f"{pm.probe_blocking:.6f}"]
+            for params, pm in entries
+        ],
+    )
+
+
+def summary(entries: Sequence[tuple[dict, object]], key: Sequence[str],
+            measures: Sequence[str]) -> str:
+    """One aligned row per key: the seed count, then each measure's mean and 95% half-width.
+
+    Cells are grouped by every key column, so only seeds are pooled.  A key
+    with one seed prints ``-`` for the half-width.
+    """
+    groups: dict[tuple, list] = {}
+    for params, result in entries:
+        groups.setdefault(tuple(_labels(params, key)), []).append(result)
+    rows = []
+    for labels, results in groups.items():
+        row = [*labels, str(len(results))]
+        for name in measures:
+            values = [getattr(r, name) for r in results]
+            mean, half = interval(values) if len(values) > 1 else (values[0], None)
+            row += [f"{mean:.6f}", "-" if half is None else f"{half:.6f}"]
+        rows.append(row)
+    header = [*key, "seeds"] + [h for name in measures for h in (name, "+/-95%")]
+    return _table(header, rows, align=True)

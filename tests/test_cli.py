@@ -1,12 +1,14 @@
+import csv
 import os
 import subprocess
 import sys
 from collections import Counter
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
 
-from flexrsa import cli, heuristic
+from flexrsa import cli, heuristic, oracle
 from flexrsa.cli import main
 
 from util import circulant_15_text
@@ -36,6 +38,12 @@ class TestTopoInfo:
     def test_unreadable_topology(self, capsys):
         assert main(["topo-info", "--topology", "/no/such/file"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_zero_slots_rejected(self, capsys):
+        assert main(["topo-info", "--slots", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "bad slots 0: expected >= 1" in err
+        assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -331,6 +339,105 @@ class TestSimulate:
         ).read_bytes()
 
 
+def printed_summary(out: str) -> list[dict]:
+    """The rows of the summary table printed above the ``wrote ...`` line."""
+    lines = [line.split() for line in out.splitlines() if not line.startswith("wrote ")]
+    header = lines[0]
+    # each measure is followed by its half-width column, all named "+/-95%"
+    header = [f"{header[i - 1]}_hw" if h == "+/-95%" else h for i, h in enumerate(header)]
+    return [dict(zip(header, row)) for row in lines[1:]]
+
+
+def csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestSummary:
+    """The printed table pools seeds only: one row per key, means of the CSV rows."""
+
+    def test_simulate_one_row_per_k(self, tmp_path, capsys):
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "pt1",
+             "--k", "1,8", "--tr", "4", "--load", "20", "--seeds", "0..1",
+             "--requests", "1500", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rows = printed_summary(capsys.readouterr().out)
+        assert [r["k"] for r in rows] == ["1", "8"]
+        metrics = csv_rows(tmp_path / "metrics.csv")
+        for row in rows:
+            cells = [m for m in metrics if m["k"] == row["k"]]
+            assert len(cells) == 2 and row["seeds"] == "2"
+            for measure, column in (("blocking_prob", "blocking_prob"),
+                                    ("aggregation_ratio", "agg_ratio")):
+                mean = sum(float(m[column]) for m in cells) / len(cells)
+                assert float(row[measure]) == pytest.approx(mean, abs=1e-6)
+                assert row[f"{measure}_hw"] != "-"
+
+    def test_probe_one_row_per_gb(self, tmp_path, capsys):
+        rc = main(
+            ["probe", "--topology", "abilene", "--slots", "16", "--mode", "pt1",
+             "--k", "8", "--gb", "0,3", "--load", "20", "--seeds", "0..1",
+             "--requests", "1500", "--probes", "20", "--spacing", "10", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        rows = printed_summary(capsys.readouterr().out)
+        assert [r["gb"] for r in rows] == ["0", "3"]
+        probes = csv_rows(tmp_path / "probe.csv")
+        for row in rows:
+            cells = [p for p in probes if p["gb"] == row["gb"]]
+            assert len(cells) == 2 and row["seeds"] == "2"
+            assert {(p["bg_tr"], p["probe_tr"]) for p in cells} == {(row["bg_tr"], row["probe_tr"])}
+            mean = sum(float(p["probe_blocking"]) for p in cells) / len(cells)
+            assert float(row["probe_blocking"]) == pytest.approx(mean, abs=1e-6)
+
+    def test_single_seed_prints_dash(self, tmp_path, capsys):
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
+             "--k", "2", "--tr", "1-4", "--load", "20,30", "--seeds", "0..0",
+             "--requests", "300", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        rows = printed_summary(out)
+        assert len(rows) == 4 and out.isascii()
+        metrics = {(m["load"], m["policy"]): m for m in csv_rows(tmp_path / "metrics.csv")}
+        for row in rows:
+            assert row["seeds"] == "1"
+            assert row["blocking_prob_hw"] == row["aggregation_ratio_hw"] == "-"
+            assert row["blocking_prob"] == metrics[row["load"], row["policy"]]["blocking_prob"]
+
+
+class TestMultiAxisGolden:
+    """Bytes and row order of grids with several K, GB and demand values."""
+
+    def test_simulate_grid(self, tmp_path):
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1,pt2",
+             "--k", "2,8", "--gb", "0,1", "--tr", "2,1-4", "--load", "10,20",
+             "--seeds", "0..1", "--requests", "300", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest() == (
+            "054bb33c719419017305cbe47a23b3f8b2e0a4e8a96ce8893a1af8fff003850b"
+        )
+        assert sha256((tmp_path / "path_dist.csv").read_bytes()).hexdigest() == (
+            "de47d3b5102fb827ea4a77da1d764be345cd0ed4cc8b87d30b461f388bb3c4a5"
+        )
+
+    def test_probe_grid(self, tmp_path):
+        rc = main(
+            ["probe", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
+             "--k", "2,8", "--gb", "0,1", "--load", "10,20", "--seeds", "0..1",
+             "--requests", "600", "--probes", "10", "--spacing", "20", "--out", str(tmp_path)]
+        )
+        assert rc == 0
+        assert sha256((tmp_path / "probe.csv").read_bytes()).hexdigest() == (
+            "8c60874688736d4c1a962b7528512cd0520518037f72087a3b645a67ee50f304"
+        )
+
+
 class TestProbeCommand:
     def test_probe_csv_written(self, tmp_path):
         out = str(tmp_path / "p")
@@ -561,6 +668,32 @@ class TestOracleCheck:
         assert main(["oracle-check", "--seed", "7", "--instances", "6"]) == 0
         assert "passed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--instances", "-1"], "bad instances -1: expected >= 1"),
+            (["--instances", "0"], "bad instances 0: expected >= 1"),
+            (["--max-demand", "0"], "bad max_demand 0: expected >= 1"),
+            (["--max-nodes", "2"], "bad max_nodes 2: expected 3 <= max_nodes <= 6"),
+            (["--max-nodes", "7"], "bad max_nodes 7: expected 3 <= max_nodes <= 6"),
+            (["--k", "0"], "bad k 0: expected >= 1"),
+            (["--slots", "0"], "bad slots 0: expected 1 <= slots <= 16"),
+            (["--slots", "17"], "bad slots 17: expected 1 <= slots <= 16"),
+        ],
+    )
+    def test_bad_input_rejected(self, capsys, flags, message):
+        rc = main(["oracle-check", "--seed", "7", "--instances", "2"] + flags)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        assert "Traceback" not in captured.err and "passed" not in captured.out
+
+    def test_bounds_follow_the_oracle_budget(self, capsys):
+        budget = oracle.OracleLimits()
+        flags = ["--max-nodes", str(budget.max_nodes), "--slots", str(budget.max_slots)]
+        assert main(["oracle-check", "--seed", "7", "--instances", "1"] + flags) == 0
+        assert "all 1 instances passed" in capsys.readouterr().out
+
 
 def test_unknown_mode_rejected(tmp_path, capsys):
     rc = main(["simulate", "--mode", "warp", "--load", "10", "--seeds", "0..0",
@@ -570,7 +703,7 @@ def test_unknown_mode_rejected(tmp_path, capsys):
 
 
 def test_import_leaves_scipy_and_numpy_out():
-    # the package has no runtime dependencies: replicate's t quantile is pure Python
+    # the package has no runtime dependencies: interval's t quantile is pure Python
     src = Path(cli.__file__).resolve().parent.parent
     probe = subprocess.run(
         [sys.executable, "-c",

@@ -11,10 +11,10 @@ from flexrsa.sim import (
     ProbeMetrics,
     TrafficConfig,
     distribution_csv,
+    interval,
     metrics_csv,
     probe_csv,
     probe_run,
-    replicate,
     run,
 )
 from flexrsa.spectrum import SpectrumState
@@ -119,12 +119,14 @@ class TestGuardBandMonotonicity:
 
 
 class TestReplicate:
+    """Seed replication: the 95% t interval over per-seed values."""
+
     def test_identical_runs_zero_width(self):
         traffic = TrafficConfig(mean_holding=30.0, requests=500, seed=9, demand=(1, 4))
         policy = PolicyParams(mode="pt", k=5)
-        summary = replicate(lambda seed: run(US16, traffic, policy), [1, 2, 3, 4, 5])
-        assert summary.blocking_halfwidth == 0.0
-        assert summary.aggregation_halfwidth == 0.0
+        runs = [run(US16, traffic, policy) for _ in range(5)]
+        assert interval([m.blocking_prob for m in runs])[1] == 0.0
+        assert interval([m.aggregation_ratio for m in runs])[1] == 0.0
 
     def test_erlang_interval_contains_half(self):
         net = one_link_net(slots=4)
@@ -137,26 +139,26 @@ class TestReplicate:
             )
             return run(net, traffic, policy)
 
-        summary = replicate(one, list(range(5)))
-        assert summary.blocking_mean - summary.blocking_halfwidth <= 0.5
-        assert summary.blocking_mean + summary.blocking_halfwidth >= 0.5
+        mean, half = interval([one(seed).blocking_prob for seed in range(5)])
+        assert mean - half <= 0.5 <= mean + half
 
     def test_needs_two_seeds(self):
         with pytest.raises(ValueError):
-            replicate(lambda s: Metrics(), [1])
+            interval([0.25])
 
     def test_two_seeds_use_one_degree_of_freedom(self):
-        runs = {
-            0: Metrics(offered=10, blocked=1, served=9, path_histogram={1: 9}),
-            1: Metrics(offered=10, blocked=3, served=7, path_histogram={1: 4, 2: 3}),
-        }
-        summary = replicate(runs.__getitem__, [0, 1])
+        runs = [
+            Metrics(offered=10, blocked=1, served=9, path_histogram={1: 9}),
+            Metrics(offered=10, blocked=3, served=7, path_histogram={1: 4, 2: 3}),
+        ]
         t975 = math.tan(0.475 * math.pi)  # Cauchy = Student-t with one degree of freedom
         # two values v0, v1 give sqrt(var / n) = |v1 - v0| / 2
-        assert summary.blocking_mean == pytest.approx(0.2)
-        assert summary.blocking_halfwidth == pytest.approx(t975 * 0.1, rel=1e-12)
-        assert summary.aggregation_mean == pytest.approx(3 / 14)
-        assert summary.aggregation_halfwidth == pytest.approx(t975 * 3 / 14, rel=1e-12)
+        mean, half = interval([m.blocking_prob for m in runs])
+        assert mean == pytest.approx(0.2)
+        assert half == pytest.approx(t975 * 0.1, rel=1e-12)
+        mean, half = interval([m.aggregation_ratio for m in runs])
+        assert mean == pytest.approx(3 / 14)
+        assert half == pytest.approx(t975 * 3 / 14, rel=1e-12)
 
 
 class TestTQuantile:
