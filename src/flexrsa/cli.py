@@ -27,7 +27,7 @@ from importlib import resources
 from . import crossval, ilp, oracle, sim
 from .heuristic import PolicyParams, compute_fiber_paths
 from .physics import FiberParams
-from .topology import TopologyError, load_topology
+from .topology import Network, TopologyError, load_topology
 
 M_US_PT1 = 128_000.0  # 128 ms in us
 M_US_PT2 = 250.0
@@ -247,20 +247,23 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
-    """One cell per (mode, k, gb, tr, load, seed), nested in that order, on one parsed net.
-
-    ``demand`` names the cell's demand column, as in the command's output key.
-    """
-    net = load_topology(
+def _grid_net(cfg: dict) -> Network:
+    """The grid's network, parsed once for every cell."""
+    return load_topology(
         _read_topology(cfg["topology"]),
         slots_per_link=cfg["slots"],
         propagation_speed_km_s=cfg["speed_kms"],
     )
+
+
+def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
+    """One cell per (mode, k, gb, tr, load, seed), nested in that order.
+
+    ``demand`` names the cell's demand column, as in the command's output key.
+    """
     fiber = _fiber(cfg)
     return [
         {
-            "net": net,
             "fiber": fiber,
             "mode": mode,
             "policy": label,
@@ -285,7 +288,7 @@ def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
 
 
 def _cell_inputs(cell: dict, demand: int | tuple[int, int]) -> tuple:
-    """The (net, traffic, policy) that one grid cell simulates at ``demand``."""
+    """The (traffic, policy) that one grid cell simulates at ``demand``."""
     traffic = sim.TrafficConfig(
         mean_holding=cell["load"] / cell["arrival_rate"],
         requests=cell["requests"],
@@ -300,15 +303,16 @@ def _cell_inputs(cell: dict, demand: int | tuple[int, int]) -> tuple:
         gb=cell["gb"],
         max_dd_ps=int(round(cell["m_us"] * 1e6)),
     )
-    return cell["net"], traffic, policy
+    return traffic, policy
 
 
-def _sim_cell(cell: dict) -> sim.Metrics:
-    return sim.run(*_cell_inputs(cell, cell["tr"]), cell["fiber"])
+def _sim_cell(net: Network, cell: dict) -> sim.Metrics:
+    return sim.run(net, *_cell_inputs(cell, cell["tr"]), cell["fiber"])
 
 
-def _probe_cell(cell: dict) -> sim.ProbeMetrics:
+def _probe_cell(net: Network, cell: dict) -> sim.ProbeMetrics:
     return sim.probe_run(
+        net,
         *_cell_inputs(cell, cell["bg_tr"]),
         cell["fiber"],
         probe_demand=cell["probe_tr"],
@@ -317,17 +321,45 @@ def _probe_cell(cell: dict) -> sim.ProbeMetrics:
     )
 
 
-def _run_grid(cells: list[dict], worker, jobs: int) -> list:
+_pool_net: Network | None = None  # the grid's network, inside a --jobs worker process
+
+
+def _set_pool_net(net: Network) -> None:
+    global _pool_net
+    _pool_net = net
+
+
+def _pool_cell(task: tuple) -> object:
+    worker, cell = task
+    return worker(_pool_net, cell)
+
+
+def _run_grid(net: Network, cells: list[dict], worker, jobs: int) -> list:
+    """``worker(net, cell)`` for every cell, returned in cell order.
+
+    Cells run in descending K, so each process enumerates a pair's routes at
+    the largest K it meets and serves every smaller K from that table's
+    prefix.  Under ``jobs > 1`` each worker process receives the network
+    once, through the pool's initializer, and cells travel without it; no
+    more workers start than there are cells.
+    """
+    order = sorted(range(len(cells)), key=lambda i: -cells[i]["k"])
     if jobs == 1:
-        return [worker(c) for c in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, cells))
+        results = [worker(net, cells[i]) for i in order]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(cells)), initializer=_set_pool_net, initargs=(net,)
+        ) as pool:
+            results = list(pool.map(_pool_cell, [(worker, cells[i]) for i in order]))
+    by_cell = dict(zip(order, results))
+    return [by_cell[i] for i in range(len(cells))]
 
 
 def cmd_simulate(args) -> int:
     cfg = _common_grid_config(args)
+    net = _grid_net(cfg)
     cells = _grid_cells(cfg, "tr")
-    entries = list(zip(cells, _run_grid(cells, _sim_cell, cfg["jobs"])))
+    entries = list(zip(cells, _run_grid(net, cells, _sim_cell, cfg["jobs"])))
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "metrics.csv"), sim.metrics_csv(entries))
     _write_atomic(os.path.join(out, "path_dist.csv"), sim.distribution_csv(entries))
@@ -338,6 +370,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_probe(args) -> int:
     cfg = _common_grid_config(args)
+    net = _grid_net(cfg)
     cells = _grid_cells(
         cfg,
         "bg_tr",
@@ -345,7 +378,7 @@ def cmd_probe(args) -> int:
         probes=cfg["probes"],
         spacing=cfg["spacing"],
     )
-    entries = list(zip(cells, _run_grid(cells, _probe_cell, cfg["jobs"])))
+    entries = list(zip(cells, _run_grid(net, cells, _probe_cell, cfg["jobs"])))
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "probe.csv"), sim.probe_csv(entries))
     print(sim.summary(entries, sim.PROBE_KEY, ("probe_blocking",)), end="")
@@ -418,16 +451,25 @@ def cmd_oracle_check(args) -> int:
         ("slots", [args.slots], lambda v: 1 <= v <= budget.max_slots,
          f"1 <= slots <= {budget.max_slots}"),
         ("max_demand", [args.max_demand], lambda v: v >= 1, ">= 1"),
+        # a tree-shaped instance has one route, so |P|*|F| can be slots
+        ("max_demand", [args.max_demand], lambda v: v <= args.slots,
+         f"max_demand <= slots ({args.slots})"),
         ("k", [args.k], lambda v: v >= 1, ">= 1"),
     ])
-    failures = crossval.cross_validate(
-        args.seed,
-        args.instances,
-        max_nodes=args.max_nodes,
-        slots=args.slots,
-        max_demand=args.max_demand,
-        k=args.k,
-    )
+    try:
+        failures = crossval.cross_validate(
+            args.seed,
+            args.instances,
+            max_nodes=args.max_nodes,
+            slots=args.slots,
+            max_demand=args.max_demand,
+            k=args.k,
+        )
+    except oracle.BudgetExceeded as exc:  # no verdict, so not exit 1
+        raise ConfigError(
+            f"oracle budget exceeded at max_nodes {args.max_nodes}, slots {args.slots}, "
+            f"max_demand {args.max_demand} ({exc}): lower one of them"
+        ) from exc
     if failures:
         for f in failures:
             print(f"FAIL {f}")

@@ -8,8 +8,17 @@ plus that bound, and prefixes that cannot reach the destination are never
 grown.  The bound is consistent and 0 at the destination, and every prefix
 of a path ranks strictly before the path itself, so complete paths pop in
 exactly the (delay, nodes, arc ids) order of a plain best-first search; only
-prefixes ranked before the K-th path are grown.  Routes depend on the network
-alone, so :func:`cached_fiber_paths` memoizes them on the ``Network``.
+prefixes ranked before the K-th path are grown.  The bound depends on the
+destination alone, so each destination's reverse Dijkstra runs once per
+``Network``; its ``bound_memo`` keeps the result as a table of the arcs onward
+from every node that reaches the destination, each with its ranking delay.
+
+Routes depend on the network alone, so :func:`cached_fiber_paths` memoizes
+them in the ``Network``'s ``route_memo``, one table per (source, destination).
+Complete paths pop in one total order, so the first k paths of a K-path
+enumeration (k <= K) are exactly the k-path enumeration: a table serves every
+smaller K from a prefix, a larger K re-enumerates and replaces it, and a pair
+with fewer paths than its table's K is never enumerated again.
 
 Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
@@ -34,7 +43,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps
 from .spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear, runs
@@ -117,21 +126,36 @@ class Solution:
 
 def _delays_to(net: Network, destination: str) -> dict[str, int]:
     """Exact min delay to ``destination`` from every node that can reach it."""
-    incoming: dict[str, list[Link]] = {}
-    for link in net.links:
-        incoming.setdefault(link.dst, []).append(link)
     dist = {destination: 0}
     heap = [(0, destination)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for link in incoming.get(v, ()):
+        for link in net.incoming(v):
             reached = d + link.delay_ps
             if link.src not in dist or reached < dist[link.src]:
                 dist[link.src] = reached
                 heapq.heappush(heap, (reached, link.src))
     return dist
+
+
+def _search_table(net: Network, destination: str) -> tuple[dict[str, int], dict[str, tuple]]:
+    """The bound of every node that reaches ``destination``, and its arcs onward.
+
+    Each onward arc is (head, delay, delay + bound at head, arc id); only arcs
+    whose head reaches the destination are listed, in outgoing order.
+    """
+    bound = _delays_to(net, destination)
+    onward = {
+        v: tuple(
+            (link.dst, link.delay_ps, link.delay_ps + bound[link.dst], link.id)
+            for link in net.outgoing(v)
+            if link.dst in bound
+        )
+        for v in bound
+    }
+    return bound, onward
 
 
 def compute_fiber_paths(
@@ -153,40 +177,42 @@ def compute_fiber_paths(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    bound = _delays_to(net, destination)
+    table = net.bound_memo.get(destination)
+    if table is None:  # the first search towards this destination
+        table = net.bound_memo[destination] = _search_table(net, destination)
+    bound, onward = table
+    arc = net.links.__getitem__
+    push, pop = heapq.heappush, heapq.heappop
     found: list[Route] = []
     expansions = 0
     # heap key: (delay + bound at head, node sequence, arc-id sequence);
-    # payload: delay so far, arcs.  Keys are unique, so payloads never compare.
-    frontier: list[tuple[int, tuple[str, ...], tuple[int, ...], int, tuple[Link, ...]]] = (
-        [(bound[source], (source,), (), 0, ())] if source in bound else []
+    # payload: delay so far.  Keys are unique, so payloads never compare.
+    frontier: list[tuple[int, tuple[str, ...], tuple[int, ...], int]] = (
+        [(bound[source], (source,), (), 0)] if source in bound else []
     )
-    while frontier and len(found) < k:
-        _key, nodes, arc_ids, delay, arcs = heapq.heappop(frontier)
+    while frontier:
+        _key, nodes, arc_ids, delay = pop(frontier)
         expansions += 1
         head = nodes[-1]
         if head == destination:
-            found.append(Route(arcs, nodes, delay))
+            found.append(Route(tuple(map(arc, arc_ids)), nodes, delay))
+            if len(found) == k:
+                break
             continue
-        visited = set(nodes)
-        for link in net.outgoing(head):
-            rest = bound.get(link.dst)
-            if rest is None or link.dst in visited:
-                continue
-            reached = delay + link.delay_ps
-            heapq.heappush(
-                frontier,
-                (
-                    reached + rest,
-                    nodes + (link.dst,),
-                    arc_ids + (link.id,),
-                    reached,
-                    arcs + (link,),
-                ),
-            )
+        for nxt, step, ranked, arc_id in onward[head]:
+            if nxt not in nodes:
+                push(frontier, (delay + ranked, nodes + (nxt,), arc_ids + (arc_id,), delay + step))
     if stats is not None:
         stats["phase1_expansions"] = stats.get("phase1_expansions", 0) + expansions
     return found
+
+
+class _RouteTable(NamedTuple):
+    """One pair's routes: the enumeration made at ``k`` and the prefixes served by K."""
+
+    k: int
+    routes: tuple[Route, ...]
+    prefixes: dict[int, tuple[Route, ...]]
 
 
 def cached_fiber_paths(
@@ -197,12 +223,30 @@ def cached_fiber_paths(
     cache: dict | None = None,
     stats: dict | None = None,
 ) -> Sequence[Route]:
-    """:func:`compute_fiber_paths`, memoized in ``cache`` or else in ``net.route_memo``."""
-    memo = net.route_memo if cache is None else cache
-    key = (source, destination, k)
-    if key not in memo:  # a tuple, because every later caller shares it
-        memo[key] = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
-    return memo[key]
+    """:func:`compute_fiber_paths`, memoized in ``cache`` or else in ``net.route_memo``.
+
+    A caller's ``cache`` is keyed by (source, destination, k).  ``net.route_memo``
+    holds one table per (source, destination): a K it already covers is a
+    prefix of the table, sliced once; any other K re-enumerates the pair.
+    Routes are tuples, because every later caller shares them.
+    """
+    if cache is not None:
+        key = (source, destination, k)
+        if key not in cache:
+            cache[key] = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
+        return cache[key]
+    pair = (source, destination)
+    table = net.route_memo.get(pair)
+    if table is not None:
+        routes = table.prefixes.get(k)
+        if routes is not None:
+            return routes
+        if k < table.k or len(table.routes) < table.k:  # a prefix, or all the pair has
+            routes = table.prefixes[k] = table.routes[:k]
+            return routes
+    routes = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
+    net.route_memo[pair] = _RouteTable(k, routes, {k: routes})
+    return routes
 
 
 def _largest(blocks: list[SlotRange]) -> SlotRange:

@@ -73,14 +73,42 @@ class Network:
         return {v: tuple(sorted(arcs, key=lambda a: (a.dst, a.id))) for v, arcs in table.items()}
 
     @cached_property
+    def _incoming(self) -> dict[str, tuple[Link, ...]]:
+        table: dict[str, list[Link]] = {v: [] for v in self.nodes}
+        for link in self.links:
+            table[link.dst].append(link)
+        return {v: tuple(arcs) for v, arcs in table.items()}
+
+    @cached_property
     def route_memo(self) -> dict:
-        """Derived routes by (source, destination, k); out of equality, hash and repr."""
+        """Derived routes, one table per (source, destination); out of equality, hash and repr.
+
+        ``heuristic.cached_fiber_paths`` keeps here, per pair, its longest
+        enumeration, the K it was made at and the shorter prefixes served.
+        """
+        return {}
+
+    @cached_property
+    def bound_memo(self) -> dict:
+        """Phase-1 search bounds by destination; out of equality, hash and repr.
+
+        The bound (each node's min delay to the destination) depends on the
+        destination alone, so ``heuristic.compute_fiber_paths`` computes it
+        once per destination and keeps it here, with the arcs onward.
+        """
         return {}
 
     def outgoing(self, v: str) -> tuple[Link, ...]:
         """All arcs leaving ``v``, ordered by (dst id, arc id)."""
         try:
             return self._outgoing[v]
+        except KeyError:
+            raise TopologyError(f"unknown node {v!r}") from None
+
+    def incoming(self, v: str) -> tuple[Link, ...]:
+        """All arcs entering ``v``, in arc-id order."""
+        try:
+            return self._incoming[v]
         except KeyError:
             raise TopologyError(f"unknown node {v!r}") from None
 

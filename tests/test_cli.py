@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -257,6 +258,29 @@ class TestSimulate:
         assert len(parses) == 1
         assert enumerations and max(enumerations.values()) == 1
 
+    def test_multi_k_grid_enumerates_each_pair_once(self, tmp_path, monkeypatch):
+        # cells run in descending K: every pair is enumerated once, at the
+        # largest K, and the K=4 cells read that table's prefix
+        enumerations = Counter()
+        ks = set()
+        enumerate_paths = heuristic.compute_fiber_paths
+
+        def counted_enumerate(net, source, destination, k, stats=None):
+            enumerations[source, destination] += 1
+            ks.add(k)
+            return enumerate_paths(net, source, destination, k, stats=stats)
+
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        rc = main(
+            ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
+             "--k", "4,8", "--tr", "1-4", "--load", "30", "--seeds", "0..1",
+             "--requests", "250", "--jobs", "1", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 0
+        assert len(enumerations) > 100  # of abilene's 132 ordered pairs
+        assert set(enumerations.values()) == {1}
+        assert ks == {8}
+
     def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
         scn = tmp_path / "s.scn"
         scn.write_text("topology = us\nslots = 16\ntr = -3\nload = 10\nseeds = 0..0\n")
@@ -337,6 +361,46 @@ class TestSimulate:
         assert (tmp_path / "ser" / "metrics.csv").read_bytes() == (
             tmp_path / "par" / "metrics.csv"
         ).read_bytes()
+
+    def test_jobs_capped_at_the_cell_count(self, tmp_path, monkeypatch):
+        # a stand-in pool: records its size and runs the cells in this process
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(cli, "_pool_net", None)
+        rc = main(["simulate", "--topology", "abilene", "--slots", "16", "--k", "2,4",
+                   "--tr", "2", "--load", "10", "--seeds", "0..0", "--requests", "50",
+                   "--jobs", "64", "--out", str(tmp_path / "o")])
+        assert rc == 0 and sizes == [2]
+
+    def test_jobs_parallel_multi_k_matches_serial(self, tmp_path):
+        # workers get the network once and run cells in descending K, as --jobs 1 does
+        args = [
+            "simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
+            "--k", "2,8,4", "--tr", "1-4", "--load", "30", "--seeds", "0..1",
+            "--requests", "200",
+        ]
+        a, b = tmp_path / "ser", tmp_path / "par"
+        assert main(args + ["--out", str(a), "--jobs", "1"]) == 0
+        assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
+        for name in ("metrics.csv", "path_dist.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+        ks = [row["k"] for row in csv.DictReader((a / "metrics.csv").open())]
+        assert ks == ["2", "2", "8", "8", "4", "4"] * 2  # cell order, whatever ran first
 
 
 def printed_summary(out: str) -> list[dict]:
@@ -679,6 +743,9 @@ class TestOracleCheck:
             (["--k", "0"], "bad k 0: expected >= 1"),
             (["--slots", "0"], "bad slots 0: expected 1 <= slots <= 16"),
             (["--slots", "17"], "bad slots 17: expected 1 <= slots <= 16"),
+            (["--max-demand", "9"], "bad max_demand 9: expected max_demand <= slots (8)"),
+            (["--slots", "4", "--max-demand", "5"],
+             "bad max_demand 5: expected max_demand <= slots (4)"),
         ],
     )
     def test_bad_input_rejected(self, capsys, flags, message):
@@ -693,6 +760,18 @@ class TestOracleCheck:
         flags = ["--max-nodes", str(budget.max_nodes), "--slots", str(budget.max_slots)]
         assert main(["oracle-check", "--seed", "7", "--instances", "1"] + flags) == 0
         assert "all 1 instances passed" in capsys.readouterr().out
+
+    def test_budget_exceeded_is_a_usage_error(self, capsys, monkeypatch):
+        # an oracle out of budget gives no verdict: exit 2 naming the size
+        # flags, not the exit 1 of a cross-validation failure
+        monkeypatch.setattr(oracle, "OracleLimits", partial(oracle.OracleLimits, max_steps=1))
+        rc = main(["oracle-check", "--seed", "7", "--instances", "2", "--max-nodes", "4",
+                   "--slots", "6", "--max-demand", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: oracle budget exceeded")
+        assert "max_nodes 4, slots 6, max_demand 3" in captured.err
+        assert "Traceback" not in captured.err and "FAIL" not in captured.out
 
 
 def test_unknown_mode_rejected(tmp_path, capsys):

@@ -157,6 +157,67 @@ class TestPhase1:
             compute_fiber_paths(US_NET, "Nowhere", "Miami", 2)
 
 
+class TestRouteTable:
+    """``cached_fiber_paths`` keeps one route table per pair on the network."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+        enumerate_paths = heuristic.compute_fiber_paths
+
+        def counted(net, source, destination, k, stats=None):
+            calls.append((source, destination, k))
+            return enumerate_paths(net, source, destination, k, stats=stats)
+
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted)
+        return calls
+
+    def test_smaller_k_is_a_prefix_and_enumerates_nothing(self, enumerations):
+        net = load_topology(US_TEXT, slots_per_link=16)
+        big = heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 40)
+        small = heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 10)
+        assert enumerations == [("Seattle", "Atlanta", 40)]
+        assert len(big) == 40 and small == big[:10]
+        assert list(small) == compute_fiber_paths(US_NET, "Seattle", "Atlanta", 10)
+        # the prefix is sliced once and shared by later callers
+        assert heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 10) is small
+        assert heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 40) is big
+
+    def test_larger_k_re_enumerates_and_replaces_the_table(self, enumerations):
+        net = load_topology(US_TEXT, slots_per_link=16)
+        small = heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 10)
+        big = heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 40)
+        again = heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 20)
+        assert enumerations == [("Seattle", "Atlanta", 10), ("Seattle", "Atlanta", 40)]
+        assert big[:10] == small and again == big[:20]
+        assert list(net.route_memo) == [("Seattle", "Atlanta")]
+
+    def test_exhausted_pair_is_never_re_enumerated(self, enumerations):
+        net = triangle()  # A to C has two loop-free paths
+        assert len(heuristic.cached_fiber_paths(net, "A", "C", 5)) == 2
+        for k in (1, 2, 9, 50):
+            routes = heuristic.cached_fiber_paths(net, "A", "C", k)
+            assert routes == tuple(compute_fiber_paths(triangle(), "A", "C", k))
+        assert enumerations == [("A", "C", 5)]
+
+    def test_reverse_dijkstra_runs_once_per_destination(self, monkeypatch):
+        runs = []
+        delays_to = heuristic._delays_to
+
+        def counted(net, destination):
+            runs.append(destination)
+            return delays_to(net, destination)
+
+        monkeypatch.setattr(heuristic, "_delays_to", counted)
+        net = load_topology(US_TEXT, slots_per_link=16)
+        for k in (10, 40):
+            for src in net.nodes:
+                for dst in net.nodes:
+                    if src != dst:
+                        compute_fiber_paths(net, src, dst, k)
+        assert sorted(runs) == sorted(net.nodes)
+
+
 class TestAssignSpectrum:
     def test_first_fit_on_empty_network(self):
         net = load_topology(
