@@ -404,19 +404,20 @@ def cmd_export_ilp(args) -> int:
     if not net.has_node(src) or not net.has_node(dst):
         raise ConfigError(f"unknown node in pair ({src}, {dst})")
 
-    def model_for(s, d, candidates):
+    def check_capacity(s, d, npaths):
         try:
-            return ilp.build_model(
-                net, s, d, demand, candidates,
-                slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
-            )
-        except ilp.ModelError as exc:  # every other input is checked above: tr exceeds |P|*|F|
+            ilp.check_capacity(demand, npaths, slots)
+        except ilp.ModelError as exc:  # every other input is checked above
             raise ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}") from exc
 
     routes = compute_fiber_paths(net, src, dst, args.paths)
     if not routes:
         raise ConfigError(f"no path from {src} to {dst}")
-    model = model_for(src, dst, routes)
+    check_capacity(src, dst, len(routes))
+    model = ilp.build_model(
+        net, src, dst, demand, routes,
+        slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
+    )
     counts = model.variable_counts()
     y_per_request = counts.get("y", 0)
     print(f"request {src} -> {dst}: |P|={len(routes)} |F|={slots}")
@@ -424,6 +425,7 @@ def cmd_export_ilp(args) -> int:
     print(f"total variables: {len(model.variables)}")
     print(f"total constraints: {len(model.constraints)}")
     if args.all_pairs:
+        # a pair's model has one y variable per (route, slot): count them from the routes alone
         total_y = 0
         pairs = 0
         for s in net.nodes:
@@ -434,7 +436,8 @@ def cmd_export_ilp(args) -> int:
                 pr = compute_fiber_paths(net, s, d, args.paths)
                 if not pr:
                     continue
-                total_y += model_for(s, d, pr).variable_counts().get("y", 0)
+                check_capacity(s, d, len(pr))
+                total_y += len(pr) * slots
         print(f"aggregate y variables over {pairs} node pairs: {total_y}")
     if args.out:
         _write_atomic(args.out, ilp.export_lp(model))

@@ -21,14 +21,22 @@ Coefficients and right-hand sides are plain integers, except in the gvd
 rows, whose dispersion coefficients and half-unit slack are exact
 ``Fraction`` values.  So evaluation is exact, and the LP-format export is
 bit-stable and parses back to an equal system.
+
+Rows and variable declarations are plain tuples (``Constraint``,
+``VarDecl``), and rows share their ``(name, coefficient)`` term tuples.
+The parser reads one row per line, a wrapped row's continuation lines
+included, and declares variables in Binaries-then-Generals order, which is
+the order ``build_model`` declares them in: parsing an export gives back
+the same variable order, and exporting the parse gives back the same text.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps, slot_width_nm
 from .spectrum import SlotRange
@@ -68,16 +76,14 @@ class ModelError(ValueError):
     """Raised for invalid model construction or evaluation input."""
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(NamedTuple):
     name: str
     kind: str  # "binary" | "integer"
     lb: int = 0
     ub: int = 1
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     name: str
     family: str
     coeffs: tuple[tuple[str, int | Fraction], ...]
@@ -130,6 +136,14 @@ def _normalize_paths(candidate_paths: Sequence) -> list[tuple[Link, ...]]:
     return routes
 
 
+def check_capacity(demand: int, npaths: int, slots: int) -> None:
+    """Raise ModelError when ``demand`` slots exceed what ``npaths`` routes of ``slots`` hold."""
+    if demand > npaths * slots:
+        raise ModelError(
+            f"demand {demand} exceeds the capacity |P|*|F| = {npaths}*{slots} = {npaths * slots}"
+        )
+
+
 def build_model(
     net: Network,
     source: str,
@@ -162,10 +176,7 @@ def build_model(
     fiber = fiber_params or FiberParams()
     routes = _normalize_paths(candidate_paths)
     npaths = len(routes)
-    if demand > npaths * slots:
-        raise ModelError(
-            f"demand {demand} exceeds the capacity |P|*|F| = {npaths}*{slots} = {npaths * slots}"
-        )
+    check_capacity(demand, npaths, slots)
     route_ids = [tuple(a.id for a in arcs) for arcs in routes]
     route_sets = [set(ids) for ids in route_ids]
     arc_by_id = {a.id: a for arcs in routes for a in arcs}
@@ -183,152 +194,123 @@ def build_model(
     ]
     big_m = max(d + g for d, g in zip(route_delay, gvd_ub)) + 1
 
-    def x(p):
-        return f"x_p{p + 1}"
-
-    def xe(p, e):
-        return f"xe_p{p + 1}_e{e}"
-
-    def y(p, i):
-        return f"y_p{p + 1}_f{i}"
-
-    def xei(p, e, i):
-        return f"xei_p{p + 1}_e{e}_f{i}"
-
-    def o(p, q):
-        return f"o_p{p + 1}_p{q + 1}"
-
-    def g(p, q, e):
-        return f"g_p{p + 1}_p{q + 1}_e{e}"
-
-    def z(p, e):
-        return f"z_p{p + 1}_e{e}"
-
-    variables: dict[str, VarDecl] = {}
-
-    def declare(name, kind, lb=0, ub=1):
-        variables[name] = VarDecl(name, kind, lb, ub)
-
-    for p in range(npaths):
-        declare(x(p), "binary")
-    for p in range(npaths):
-        for e in e_used:
-            declare(xe(p, e), "binary")
-    for p in range(npaths):
-        for i in range(slots):
-            declare(y(p, i), "binary")
-    for p in range(npaths):
-        for e in e_used:
-            for i in range(slots):
-                declare(xei(p, e, i), "binary")
     pairs = [(p, q) for p in range(npaths) for q in range(p + 1, npaths)]
     shared = {(p, q): sorted(route_sets[p] & route_sets[q]) for p, q in pairs}
-    for p, q in pairs:
-        declare(o(p, q), "binary")
-    for p, q in pairs:
-        for e in shared[(p, q)]:
-            declare(g(p, q, e), "binary")
-    for p in range(npaths):
-        for e in route_ids[p]:
-            declare(z(p, e), "integer", 0, slots)
-    for p in range(npaths):
-        declare(f"pd_p{p + 1}", "integer", 0, route_delay[p])
-    for p in range(npaths):
-        declare(f"T_p{p + 1}", "integer", 0, slots)
-    for p in range(npaths):
-        declare(f"gvd_p{p + 1}", "integer", 0, gvd_ub[p])
 
-    constraints: list[Constraint] = []
-    counters = {fam: 0 for fam in FAMILIES}
+    # every variable name is formatted once, here
+    paths = range(npaths)
+    x = [f"x_p{p + 1}" for p in paths]
+    xe = [{e: f"xe_p{p + 1}_e{e}" for e in e_used} for p in paths]
+    y = [[f"y_p{p + 1}_f{i}" for i in range(slots)] for p in paths]
+    xei = [{e: [f"xei_p{p + 1}_e{e}_f{i}" for i in range(slots)] for e in e_used} for p in paths]
+    o = {(p, q): f"o_p{p + 1}_p{q + 1}" for p, q in pairs}
+    g = {(p, q, e): f"g_p{p + 1}_p{q + 1}_e{e}" for p, q in pairs for e in shared[(p, q)]}
+    z = [{e: f"z_p{p + 1}_e{e}" for e in route_ids[p]} for p in paths]
+    pd = [f"pd_p{p + 1}" for p in paths]
+    t = [f"T_p{p + 1}" for p in paths]
+    gv = [f"gvd_p{p + 1}" for p in paths]
+
+    binaries = list(x)
+    for p in paths:
+        binaries.extend(xe[p].values())
+    for p in paths:
+        binaries.extend(y[p])
+    for p in paths:
+        for names in xei[p].values():
+            binaries.extend(names)
+    binaries.extend(o.values())
+    binaries.extend(g.values())
+    variables = {n: VarDecl(n, "binary") for n in binaries}
+    for p in paths:
+        for n in z[p].values():
+            variables[n] = VarDecl(n, "integer", 0, slots)
+    for p in paths:
+        variables[pd[p]] = VarDecl(pd[p], "integer", 0, route_delay[p])
+    for p in paths:
+        variables[t[p]] = VarDecl(t[p], "integer", 0, slots)
+    for p in paths:
+        variables[gv[p]] = VarDecl(gv[p], "integer", 0, gvd_ub[p])
+
+    # rows by family, each named by its prefix and its index within the family
+    rows: dict[str, list[Constraint]] = {family: [] for family in FAMILIES}
 
     def emit(family, coeffs, relation, rhs):
-        idx = counters[family]
-        counters[family] += 1
-        merged: dict[str, int | Fraction] = {}
-        for n, c in coeffs:
-            merged[n] = merged.get(n, 0) + c
-        constraints.append(
-            Constraint(
-                f"{_PREFIX[family]}_{idx}",
-                family,
-                tuple((n, c) for n, c in merged.items() if c != 0),
-                relation,
-                rhs,
-            )
-        )
-
-    one = 1
+        if len(dict(coeffs)) < len(coeffs):  # a name repeats: sum its terms
+            merged: dict[str, int | Fraction] = {}
+            for n, c in coeffs:
+                merged[n] = merged.get(n, 0) + c
+            coeffs = merged.items()
+        out = rows[family]
+        terms = tuple(term for term in coeffs if term[1] != 0)
+        out.append(Constraint(f"{_PREFIX[family]}_{len(out)}", family, terms, relation, rhs))
 
     # routing: arc usage pinned to the fixed route
-    for p in range(npaths):
+    for p in paths:
         on_route = route_sets[p]
         for e in e_used:
             if e in on_route:
-                emit("routing", [(xe(p, e), one), (x(p), -one)], "=", 0)
+                emit("routing", [(xe[p][e], 1), (x[p], -1)], "=", 0)
             else:
-                emit("routing", [(xe(p, e), one)], "=", 0)
+                emit("routing", [(xe[p][e], 1)], "=", 0)
         for e in e_used:
             if e not in on_route:
-                for i in range(slots):
-                    emit("routing", [(xei(p, e, i), one)], "=", 0)
+                for n in xei[p][e]:
+                    emit("routing", [(n, 1)], "=", 0)
 
     # continuity: y equals source-arc usage; usage carried along the route
     src_arcs = [e for e in e_used if arc_by_id[e].src == source]
-    for p in range(npaths):
+    for p in paths:
         for i in range(slots):
-            coeffs = [(y(p, i), one)] + [(xei(p, e, i), -one) for e in src_arcs]
-            emit("continuity", coeffs, "=", 0)
+            emit("continuity", [(y[p][i], 1)] + [(xei[p][e][i], -1) for e in src_arcs], "=", 0)
         for e1, e2 in zip(route_ids[p], route_ids[p][1:]):
-            for i in range(slots):
-                emit("continuity", [(xei(p, e1, i), one), (xei(p, e2, i), -one)], "=", 0)
+            for n1, n2 in zip(xei[p][e1], xei[p][e2]):
+                emit("continuity", [(n1, 1), (n2, -1)], "=", 0)
 
-    # consecutive: band size accounting and span rule
-    for p in range(npaths):
-        coeffs = [(f"T_p{p + 1}", one)]
-        for e in src_arcs:
-            for i in range(slots):
-                coeffs.append((xei(p, e, i), -one))
-        emit("consecutive", coeffs, "=", 0)
-    for p in range(npaths):
+    # consecutive: band size accounting and the span rule
+    #   j*xj - i*xi + 1 <= T + (2 - xi - xj)*F  for i <= j,
+    # i.e. (j+F)*xj + (F-i)*xi - T <= 2F-1; at j == i the two terms merge into 2F*xi
+    for p in paths:
+        emit("consecutive", [(t[p], 1)] + [(n, -1) for e in src_arcs for n in xei[p][e]], "=", 0)
+    # The span rows, about 60% of a model, skip emit: no name repeats in them
+    # and no coefficient is zero.  They share their term tuples.
+    span = rows["consecutive"]
+    cap = 2 * slots - 1
+    for p in paths:
+        t_neg = (t[p], -1)
         for e in route_ids[p]:
+            names = xei[p][e]
+            diag = [(n, 2 * slots) for n in names]
+            hi = [(n, j + slots) for j, n in enumerate(names)]
+            lo = [(n, slots - i) for i, n in enumerate(names)]
             for i in range(slots):
-                for j in range(i, slots):
-                    # j*xj - i*xi + 1 <= T + (2 - xi - xj)*F
-                    coeffs = [
-                        (xei(p, e, j), j + slots),
-                        (xei(p, e, i), slots - i),
-                        (f"T_p{p + 1}", -one),
-                    ]
-                    emit("consecutive", coeffs, "<=", 2 * slots - 1)
+                terms = (diag[i], t_neg)
+                span.append(Constraint(f"cs_{len(span)}", "consecutive", terms, "<=", cap))
+                for j in range(i + 1, slots):
+                    terms = (hi[j], lo[i], t_neg)
+                    span.append(Constraint(f"cs_{len(span)}", "consecutive", terms, "<=", cap))
 
     # non-overlap
     for p, q in pairs:
         for e in shared[(p, q)]:
-            emit("non-overlap", [(xe(p, e), one), (xe(q, e), one), (o(p, q), -one)], "<=", 1)
+            emit("non-overlap", [(xe[p][e], 1), (xe[q][e], 1), (o[p, q], -1)], "<=", 1)
     for p, q in pairs:
         for i in range(slots):
-            emit("non-overlap", [(y(p, i), one), (y(q, i), one), (o(p, q), one)], "<=", 2)
-    for p in range(npaths):
+            emit("non-overlap", [(y[p][i], 1), (y[q][i], 1), (o[p, q], 1)], "<=", 2)
+    for p in paths:
         for i in range(slots):
-            emit("non-overlap", [(y(p, i), one), (x(p), -one)], "<=", 0)
+            emit("non-overlap", [(y[p][i], 1), (x[p], -1)], "<=", 0)
 
     # lin-gamma: o capped by shared-arc products, gamma = xe*xe'
     for p, q in pairs:
-        coeffs = [(o(p, q), one)] + [(g(p, q, e), -one) for e in shared[(p, q)]]
-        emit("lin-gamma", coeffs, "<=", 0)
+        emit("lin-gamma", [(o[p, q], 1)] + [(g[p, q, e], -1) for e in shared[(p, q)]], "<=", 0)
     for p, q in pairs:
         for e in shared[(p, q)]:
-            emit("lin-gamma", [(g(p, q, e), one), (xe(p, e), -one)], "<=", 0)
-            emit("lin-gamma", [(g(p, q, e), one), (xe(q, e), -one)], "<=", 0)
-            emit(
-                "lin-gamma",
-                [(xe(p, e), one), (xe(q, e), one), (g(p, q, e), -one)],
-                "<=",
-                1,
-            )
+            emit("lin-gamma", [(g[p, q, e], 1), (xe[p][e], -1)], "<=", 0)
+            emit("lin-gamma", [(g[p, q, e], 1), (xe[q][e], -1)], "<=", 0)
+            emit("lin-gamma", [(xe[p][e], 1), (xe[q][e], 1), (g[p, q, e], -1)], "<=", 1)
 
     # guard-band: slots near existing occupancy are unavailable; pairwise gaps
-    for p in range(npaths):
+    for p in paths:
         for e in route_ids[p]:
             taken = occ.get(e, ())
             if not taken:
@@ -341,80 +323,60 @@ def build_model(
                 }
             )
             for i in forbidden:
-                emit("guard-band", [(xei(p, e, i), one)], "=", 0)
-    if gb > 0:
+                emit("guard-band", [(xei[p][e][i], 1)], "=", 0)
+    if gb > 0:  # these rows skip emit too, like the span rows
+        guard = rows["guard-band"]
         for p, q in pairs:
+            o_pos = (o[p, q], 1)
             for e in shared[(p, q)]:
+                ours = [(n, 1) for n in xei[p][e]]
+                theirs = [(n, 1) for n in xei[q][e]]
                 for j in range(slots):
                     for i in range(max(0, j - gb), min(slots, j + gb + 1)):
-                        emit(
-                            "guard-band",
-                            [(xei(p, e, j), one), (xei(q, e, i), one), (o(p, q), one)],
-                            "<=",
-                            2,
-                        )
+                        terms = (ours[j], theirs[i], o_pos)
+                        guard.append(Constraint(f"gb_{len(guard)}", "guard-band", terms, "<=", 2))
 
     # bandwidth: total slots equal the demand
-    emit(
-        "bandwidth",
-        [(y(p, i), one) for p in range(npaths) for i in range(slots)],
-        "=",
-        demand,
-    )
+    emit("bandwidth", [(n, 1) for p in paths for n in y[p]], "=", demand)
 
     # gvd: skew equals dispersion * slot width * band size * route length,
     # within the half-unit rounding slack of the integer variable
     half = Fraction(1, 2)
-    for p in range(npaths):
-        coeffs = [(f"gvd_p{p + 1}", one)]
+    for p in paths:
+        coeffs = [(gv[p], 1)]
         for e in route_ids[p]:
             c = Fraction(fiber.dispersion_ps_per_nm_km * width_nm * arc_by_id[e].length_km)
-            coeffs.append((z(p, e), -c))
+            coeffs.append((z[p][e], -c))
         emit("gvd", coeffs, "<=", half)
         emit("gvd", [(n, -c) for n, c in coeffs], "<=", half)
 
     # lin-z: z = T * xe
-    for p in range(npaths):
+    for p in paths:
         for e in route_ids[p]:
-            emit("lin-z", [(z(p, e), one), (xe(p, e), -slots)], "<=", 0)
-            emit("lin-z", [(z(p, e), one), (f"T_p{p + 1}", -one)], "<=", 0)
-            emit(
-                "lin-z",
-                [(f"T_p{p + 1}", one), (xe(p, e), slots), (z(p, e), -one)],
-                "<=",
-                slots,
-            )
+            emit("lin-z", [(z[p][e], 1), (xe[p][e], -slots)], "<=", 0)
+            emit("lin-z", [(z[p][e], 1), (t[p], -1)], "<=", 0)
+            emit("lin-z", [(t[p], 1), (xe[p][e], slots), (z[p][e], -1)], "<=", slots)
 
     # delay: path delay from its arcs
-    for p in range(npaths):
-        coeffs = [(f"pd_p{p + 1}", one)]
-        for e in route_ids[p]:
-            coeffs.append((xe(p, e), -arc_by_id[e].delay_ps))
+    for p in paths:
+        coeffs = [(pd[p], 1)] + [(xe[p][e], -arc_by_id[e].delay_ps) for e in route_ids[p]]
         emit("delay", coeffs, "=", 0)
 
     # diff-delay: |pd_p - pd_q| + skews <= M when both paths are used
     for p, q in pairs:
-        for sign in (one, -one):
+        for sign in (1, -1):
             emit(
                 "diff-delay",
                 [
-                    (f"pd_p{p + 1}", sign),
-                    (f"pd_p{q + 1}", -sign),
-                    (f"gvd_p{p + 1}", one),
-                    (f"gvd_p{q + 1}", one),
-                    (x(p), big_m),
-                    (x(q), big_m),
+                    (pd[p], sign), (pd[q], -sign), (gv[p], 1), (gv[q], 1),
+                    (x[p], big_m), (x[q], big_m),
                 ],
                 "<=",
                 max_dd_ps + 2 * big_m,
             )
 
-    objective = tuple(
-        (xei(p, e, i), one)
-        for p in range(npaths)
-        for e in e_used
-        for i in range(slots)
-    )
+    constraints = [con for family in FAMILIES for con in rows[family]]
+    objective = tuple((n, 1) for p in paths for e in e_used for n in xei[p][e])
     meta = ModelMeta(
         paths=tuple(route_ids),
         arc_delay={e: arc_by_id[e].delay_ps for e in e_used},
@@ -442,26 +404,34 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
     under the pseudo-family "bounds".  Missing variables raise ModelError.
     """
     violations: list[tuple[str, int]] = []
-    for idx, decl in enumerate(model.variables.values()):
-        if decl.name not in assignment:
-            raise ModelError(f"assignment missing variable {decl.name}")
-        v = assignment[decl.name]
-        if v != int(v) or not (decl.lb <= v <= decl.ub):
+    for idx, (name, _, lb, ub) in enumerate(model.variables.values()):
+        if name not in assignment:
+            raise ModelError(f"assignment missing variable {name}")
+        v = assignment[name]
+        if v != int(v) or not lb <= v <= ub:
             violations.append(("bounds", idx))
-    fam_idx: dict[str, int] = {}
-    for con in model.constraints:
-        i = fam_idx.get(con.family, 0)
-        fam_idx[con.family] = i + 1
-        lhs = sum(c * assignment[n] for n, c in con.coeffs)
-        ok = (
-            lhs <= con.rhs
-            if con.relation == "<="
-            else lhs >= con.rhs
-            if con.relation == ">="
-            else lhs == con.rhs
-        )
-        if not ok:
-            violations.append((con.family, i))
+    failed = []
+    for pos, (_, _, coeffs, relation, rhs) in enumerate(model.constraints):
+        lhs = 0
+        for n, c in coeffs:
+            lhs += c * assignment[n]
+        if relation == "<=":
+            if lhs <= rhs:
+                continue
+        elif relation == ">=":
+            if lhs >= rhs:
+                continue
+        elif lhs == rhs:
+            continue
+        failed.append(pos)
+    if failed:  # number each failed row within its family
+        families = [con.family for con in model.constraints[: failed[-1] + 1]]
+        before: Counter[str] = Counter()  # rows of each family ahead of ``start``
+        start = 0
+        for pos in failed:
+            before.update(families[start:pos])
+            start = pos
+            violations.append((families[pos], before[families[pos]]))
     return violations
 
 
@@ -565,9 +535,8 @@ def export_lp(model: ConstraintSystem) -> str:
     lines = ["Minimize"]
     lines.extend(_wrap(" obj: " + _fmt_terms(model.objective)))
     lines.append("Subject To")
-    for con in model.constraints:
-        rel = con.relation
-        lines.extend(_wrap(f" {con.name}: {_fmt_terms(con.coeffs)} {rel} {_fmt_num(con.rhs)}"))
+    for name, _, coeffs, relation, rhs in model.constraints:
+        lines.extend(_wrap(f" {name}: {_fmt_terms(coeffs)} {relation} {_fmt_num(rhs)}"))
     integers = [v for v in model.variables.values() if v.kind == "integer"]
     binaries = [v for v in model.variables.values() if v.kind == "binary"]
     if integers:
@@ -592,117 +561,118 @@ def _parse_number(tok: str) -> int | Fraction:
     return int(tok)
 
 
-def _parse_expr(tokens: list[str]) -> tuple[tuple[str, int | Fraction], ...]:
-    coeffs: list[tuple[str, int | Fraction]] = []
-    sign = 1
-    pending: int | Fraction | None = None
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-        elif tok == "-":
-            sign = -1
-        elif tok[0].isdigit() or tok[0] == ".":
-            pending = _parse_number(tok)
-        else:
-            mag = pending if pending is not None else 1
-            coeffs.append((tok, sign * mag))
-            sign = 1
-            pending = None
-    return tuple(coeffs)
+def _parse_term(text: str) -> tuple[str, int | Fraction]:
+    """One signed term, "+ name" or "- 17 name", as (name, coefficient)."""
+    sign, *rest = text.split(" ")
+    mag = _parse_number(rest[0]) if len(rest) > 1 else 1
+    return rest[-1], -mag if sign == "-" else mag
+
+
+class _Memo(dict):
+    """A dict that computes a missing key's value once, as ``make(key)``, and keeps it.
+
+    Terms repeat across rows, so the parser reads each distinct term once,
+    and rows that share a term share its tuple.
+    """
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _parse_expr(text: str, terms: _Memo) -> tuple[tuple[str, int | Fraction], ...]:
+    """Terms of "a - 17 b + c" as (name, coefficient) pairs; "0" is no term."""
+    text = text.strip()
+    if text == "0":
+        return ()
+    if not text.startswith("- "):
+        text = "+ " + text
+    # one "<sign> [<magnitude>] <name>" piece per term
+    pieces = text.replace(" + ", "\n+ ").replace(" - ", "\n- ").split("\n")
+    return tuple(map(terms.__getitem__, pieces))
+
+
+_SECTIONS = {
+    "minimize": "objective",
+    "maximize": "objective",
+    "subject to": "constraints",
+    "bounds": "bounds",
+    "binaries": "binaries",
+    "generals": "generals",
+    "general": "generals",
+    "end": "end",
+}
+_RELATIONS = {rel: rel for rel in ("<=", ">=", "=")}
 
 
 def parse_lp(text: str) -> ConstraintSystem:
-    """Parse the dialect produced by :func:`export_lp` back into a system."""
+    """Parse the dialect produced by :func:`export_lp` back into a system.
+
+    Each row is one line plus the continuation lines that :func:`_wrap`
+    split off; variables are declared in Binaries-then-Generals order.
+    """
+    if "\\" in text:  # drop comments
+        text = "\n".join(line.split("\\", 1)[0] for line in text.splitlines())
     section = None
-    obj_tokens: list[str] = []
-    con_tokens: list[str] = []
+    obj_lines: list[str] = []
+    rows: list[list[str]] = []  # [name, text] per constraint row
     bounds: dict[str, tuple[int, int]] = {}
     binaries: list[str] = []
     generals: list[str] = []
     for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].strip()
+        line = raw.strip()
         if not line:
             continue
-        low = line.lower()
-        if low in ("minimize", "maximize"):
-            section = "objective"
-            continue
-        if low == "subject to":
-            section = "constraints"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "binaries":
-            section = "binaries"
-            continue
-        if low in ("generals", "general"):
-            section = "generals"
-            continue
-        if low == "end":
+        if section == "constraints":
+            name, colon, body = line.partition(":")
+            if colon:
+                rows.append([name, body])
+                continue
+        header = _SECTIONS.get(line.lower())
+        if header == "end":
             break
-        tokens = line.split()
-        if section == "objective":
-            obj_tokens.extend(tokens)
+        if header:
+            section = header
         elif section == "constraints":
-            con_tokens.extend(tokens)
+            rows[-1][1] += " " + line
+        elif section == "objective":
+            obj_lines.append(line)
         elif section == "bounds":
             # "<lb> <= <name> <= <ub>"
-            lb, _, name, _, ub = tokens
+            lb, _, name, _, ub = line.split()
             bounds[name] = (int(lb), int(ub))
         elif section == "binaries":
-            binaries.extend(tokens)
+            binaries.extend(line.split())
         elif section == "generals":
-            generals.extend(tokens)
+            generals.extend(line.split())
 
-    if obj_tokens and obj_tokens[0].endswith(":"):
-        obj_tokens = obj_tokens[1:]
-    objective = _parse_expr(obj_tokens)
-
+    terms = _Memo(_parse_term)  # every distinct term, parsed once
+    numbers = _Memo(_parse_number)
+    obj_text = " ".join(obj_lines)
+    if ":" in obj_text:  # the objective's name
+        obj_text = obj_text.partition(":")[2]
+    objective = _parse_expr(obj_text, terms)
     constraints: list[Constraint] = []
-    current_name: str | None = None
-    current: list[str] = []
-
-    def flush():
-        if current_name is None:
-            return
-        rel_idx = next(i for i, t in enumerate(current) if t in ("<=", ">=", "="))
-        expr = _parse_expr(current[:rel_idx])
-        relation = current[rel_idx]
-        rhs = _parse_number(current[rel_idx + 1])
-        prefix = current_name.split("_", 1)[0]
+    for name, body in rows:
+        expr, rel, rhs = body.rsplit(" ", 2)
+        relation = _RELATIONS.get(rel)
+        if relation is None:
+            raise ModelError(f"row {name} has no relation")
+        prefix = name.partition("_")[0]
         family = _FAMILY_OF_PREFIX.get(prefix, prefix)
-        constraints.append(Constraint(current_name, family, expr, relation, rhs))
+        constraints.append(
+            Constraint(name, family, _parse_expr(expr, terms), relation, numbers[rhs])
+        )
 
-    for tok in con_tokens:
-        if tok.endswith(":"):
-            flush()
-            current_name = tok[:-1]
-            current = []
-        else:
-            current.append(tok)
-    flush()
-
-    variables: dict[str, VarDecl] = {}
-    order: list[str] = []
-    seen = set()
-    for name, _ in objective:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-    for con in constraints:
-        for name, _ in con.coeffs:
-            if name not in seen:
-                seen.add(name)
-                order.append(name)
-    binary_set = set(binaries)
-    general_set = set(generals)
-    for name in order:
-        if name in binary_set:
-            variables[name] = VarDecl(name, "binary")
-        elif name in general_set:
-            lb, ub = bounds[name]
-            variables[name] = VarDecl(name, "integer", lb, ub)
-        else:
+    variables = {name: VarDecl(name, "binary") for name in binaries}
+    for name in generals:
+        lb, ub = bounds[name]
+        variables[name] = VarDecl(name, "integer", lb, ub)
+    for name, _ in terms.values():
+        if name not in variables:
             raise ModelError(f"variable {name} missing from Binaries/Generals")
     return ConstraintSystem(variables, constraints, objective, None)

@@ -716,6 +716,25 @@ class TestExportIlp:
         assert not lp_out.exists()
 
 
+    def test_all_pairs_checks_each_pairs_capacity(self, tmp_path, capsys):
+        # D hangs off C: C -> D has one route, every other pair two
+        topo = tmp_path / "leaf.txt"
+        topo.write_text(
+            "node A\nnode B\nnode C\nnode D\n"
+            "link A B 100\nlink B C 100\nlink A C 300\nlink C D 100\n"
+        )
+        lp_out = tmp_path / "m.lp"
+        flags = ["export-ilp", "--topology", str(topo), "--slots", "4", "--paths", "2",
+                 "--tr", "5", "--out", str(lp_out)]
+        assert main(flags) == 0
+        assert "request A -> D: |P|=2 |F|=4" in capsys.readouterr().out
+        lp_out.unlink()
+        assert main(flags + ["--all-pairs"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "bad tr 5 for C -> D: demand 5 exceeds the capacity |P|*|F| = 1*4 = 4" in err
+        assert not lp_out.exists()
+
     def test_demand_at_capacity_accepted(self, tmp_path, capsys):
         lp_out = tmp_path / "m.lp"
         rc = main(

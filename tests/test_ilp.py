@@ -6,13 +6,13 @@ from itertools import permutations
 
 import pytest
 
-from flexrsa import heuristic, ilp, oracle
+from flexrsa import crossval, heuristic, ilp, oracle
 from flexrsa.heuristic import PolicyParams, Request, assign_spectrum, compute_fiber_paths
 from flexrsa.physics import FiberParams
 from flexrsa.spectrum import SlotRange, SpectrumState
 from flexrsa.topology import load_topology
 
-from util import circulant_15_text, make_net, milp_solve, paint
+from util import circulant_15_text, make_net, milp_solve, paint, reference_check_assignment
 
 TINY_D = FiberParams(dispersion_ps_per_nm_km=1e-12)  # dispersion skew rounds to 0
 
@@ -456,3 +456,117 @@ class TestRepresentation:
             moved = {**legal, "gvd_p1": legal["gvd_p1"] + delta}
             bad = ilp.check_assignment(model, moved)
             assert bad and {family for family, _ in bad} == {"gvd"}, (delta, bad)
+
+
+class TestRecords:
+    def test_fields_and_defaults(self):
+        assert ilp.VarDecl._fields == ("name", "kind", "lb", "ub")
+        assert ilp.VarDecl("y_p1_f0", "binary") == ilp.VarDecl("y_p1_f0", "binary", 0, 1)
+        decl = ilp.VarDecl("T_p1", "integer", ub=16)
+        assert (decl.name, decl.kind, decl.lb, decl.ub) == ("T_p1", "integer", 0, 16)
+        assert ilp.Constraint._fields == ("name", "family", "coeffs", "relation", "rhs")
+        con = ilp.Constraint("bw_0", "bandwidth", (("y_p1_f0", 1),), "=", 2)
+        assert (con.name, con.family, con.coeffs, con.relation, con.rhs) == (
+            "bw_0", "bandwidth", (("y_p1_f0", 1),), "=", 2,
+        )
+
+    def test_span_row_at_i_equals_j_has_two_terms(self):
+        slots = 8
+        _, _, model = shared_path_model(npaths=1, slots=slots)
+        span = [c for c in model.constraints_by_family("consecutive") if c.relation == "<="]
+        # per route arc: one i == j row, then the rows j = i+1 .. F-1, for each slot i
+        assert len(span) == 3 * slots * (slots + 1) // 2
+        first = span[0]
+        assert first.coeffs == (("xei_p1_e0_f0", 2 * slots), ("T_p1", -1))
+        assert first.rhs == 2 * slots - 1
+        second = (("xei_p1_e0_f1", slots + 1), ("xei_p1_e0_f0", slots), ("T_p1", -1))
+        assert span[1].coeffs == second
+        diagonal = [c for c in span if len(c.coeffs) == 2]
+        assert len(diagonal) == 3 * slots
+        assert all(c.coeffs[0][1] == 2 * slots for c in diagonal)
+
+
+class TestRoundTripOrder:
+    def test_parse_keeps_variable_order_and_text(self, golden_models):
+        for model in golden_models:
+            text = ilp.export_lp(model)
+            parsed = ilp.parse_lp(text)
+            assert list(parsed.variables) == list(model.variables)
+            assert list(parsed.variables.values()) == list(model.variables.values())
+            assert ilp.export_lp(parsed) == text
+
+    def test_same_violations_on_model_and_parse(self, golden_models):
+        for model in golden_models[::5]:
+            parsed = ilp.parse_lp(ilp.export_lp(model))
+            bands = [SlotRange(0, 2)] + [None] * (len(model.meta.paths) - 1)
+            a = ilp.assignment_from_bands(model, bands)
+            a["T_p1"] = 99
+            bad = ilp.check_assignment(model, a)
+            assert ("bounds", list(model.variables).index("T_p1")) in bad
+            assert ilp.check_assignment(parsed, a) == bad
+
+    def test_undeclared_row_variable_rejected(self):
+        _, _, model = diamond_model()
+        text = ilp.export_lp(model).replace(" T_p1 ", " T_p9 ", 1)
+        with pytest.raises(ilp.ModelError, match="T_p9"):
+            ilp.parse_lp(text)
+
+
+def _perturbed_assignments(model, rng, count):
+    """Assignments from random bands, with a few variables then moved.
+
+    Random bands land on occupied or guard slots; a moved slot variable
+    breaks the span rule, a moved skew the gvd rows, and a value one past a
+    bound the bounds check.
+    """
+    names = list(model.variables)
+    skews = [n for n in names if n.startswith("gvd_")]
+    slots = model.meta.slots
+    for _ in range(count):
+        bands = []
+        for _ in model.meta.paths:
+            length = rng.randint(1, 3)
+            band = SlotRange(rng.randrange(slots - length + 1), length)
+            bands.append(None if rng.random() < 0.4 else band)
+        a = ilp.assignment_from_bands(model, bands)
+        for name in rng.sample(names, rng.randint(0, 3)):
+            decl = model.variables[name]
+            a[name] = rng.randint(decl.lb - 1, decl.ub + 1)
+        if rng.random() < 0.5:
+            a[rng.choice(skews)] += rng.choice((-1, 1))
+        yield a
+
+
+class TestCheckMatchesReference:
+    # families that some perturbed assignment must break
+    BROKEN = {"bounds", "consecutive", "guard-band", "gvd"}
+
+    def test_golden_models(self, golden_models):
+        rng = random.Random(15)
+        seen = set()
+        for model in golden_models[::3]:
+            for a in _perturbed_assignments(model, rng, 6):
+                bad = ilp.check_assignment(model, a)
+                assert bad == reference_check_assignment(model, a)
+                seen.update(family for family, _ in bad)
+        assert self.BROKEN <= seen
+
+    def test_crossval_models(self):
+        rng = random.Random(16)
+        seen = set()
+        for _ in range(30):
+            inst = crossval.random_instance(rng)
+            routes = oracle.enumerate_routes(inst.net, inst.source, inst.destination, 3)
+            if not routes:
+                continue
+            model = ilp.build_model(
+                inst.net, inst.source, inst.destination, inst.demand, routes,
+                slots=inst.net.slots_per_link, gb=inst.gb, max_dd_ps=inst.max_dd_ps,
+                fiber_params=rng.choice((TINY_D, FiberParams())),
+                occupied=inst.state.occupied_by_arc(),
+            )
+            for a in _perturbed_assignments(model, rng, 4):
+                bad = ilp.check_assignment(model, a)
+                assert bad == reference_check_assignment(model, a)
+                seen.update(family for family, _ in bad)
+        assert self.BROKEN <= seen

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -173,3 +175,26 @@ def milp_solve(model):
         return None
     values = {name: int(round(res.x[index[name]])) for name in names}
     return int(round(res.fun)), values
+
+
+def reference_check_assignment(model, assignment) -> list[tuple[str, int]]:
+    """The evaluator that ``ilp.check_assignment`` replaced.
+
+    Each row sums exact ``Fraction`` products and is numbered by a running
+    counter of its family; the lean checker must return the same list.
+    """
+    violations = []
+    for idx, decl in enumerate(model.variables.values()):
+        v = assignment[decl.name]
+        if v != int(v) or not decl.lb <= v <= decl.ub:
+            violations.append(("bounds", idx))
+    seen: dict[str, int] = {}
+    for con in model.constraints:
+        idx = seen.get(con.family, 0)
+        seen[con.family] = idx + 1
+        lhs = sum((Fraction(c) * Fraction(assignment[n]) for n, c in con.coeffs), Fraction(0))
+        rhs = Fraction(con.rhs)
+        holds = {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[con.relation]
+        if not holds:
+            violations.append((con.family, idx))
+    return violations
