@@ -404,20 +404,19 @@ def cmd_export_ilp(args) -> int:
     if not net.has_node(src) or not net.has_node(dst):
         raise ConfigError(f"unknown node in pair ({src}, {dst})")
 
-    def check_capacity(s, d, npaths):
-        try:
-            ilp.check_capacity(demand, npaths, slots)
-        except ilp.ModelError as exc:  # every other input is checked above
-            raise ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}") from exc
+    def bad_tr(s, d, exc):  # every other input is checked above: tr exceeds |P|*|F|
+        return ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}")
 
     routes = compute_fiber_paths(net, src, dst, args.paths)
     if not routes:
         raise ConfigError(f"no path from {src} to {dst}")
-    check_capacity(src, dst, len(routes))
-    model = ilp.build_model(
-        net, src, dst, demand, routes,
-        slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
-    )
+    try:
+        model = ilp.build_model(
+            net, src, dst, demand, routes,
+            slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
+        )
+    except ilp.ModelError as exc:
+        raise bad_tr(src, dst, exc) from exc
     counts = model.variable_counts()
     y_per_request = counts.get("y", 0)
     print(f"request {src} -> {dst}: |P|={len(routes)} |F|={slots}")
@@ -436,7 +435,10 @@ def cmd_export_ilp(args) -> int:
                 pr = compute_fiber_paths(net, s, d, args.paths)
                 if not pr:
                     continue
-                check_capacity(s, d, len(pr))
+                try:
+                    ilp.check_capacity(demand, len(pr), slots)
+                except ilp.ModelError as exc:
+                    raise bad_tr(s, d, exc) from exc
                 total_y += len(pr) * slots
         print(f"aggregate y variables over {pairs} node pairs: {total_y}")
     if args.out:

@@ -33,7 +33,6 @@ the same variable order, and exporting the parse gives back the same text.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -274,6 +273,7 @@ def build_model(
     # The span rows, about 60% of a model, skip emit: no name repeats in them
     # and no coefficient is zero.  They share their term tuples.
     span = rows["consecutive"]
+    prefix = _PREFIX["consecutive"]
     cap = 2 * slots - 1
     for p in paths:
         t_neg = (t[p], -1)
@@ -284,10 +284,10 @@ def build_model(
             lo = [(n, slots - i) for i, n in enumerate(names)]
             for i in range(slots):
                 terms = (diag[i], t_neg)
-                span.append(Constraint(f"cs_{len(span)}", "consecutive", terms, "<=", cap))
+                span.append(Constraint(f"{prefix}_{len(span)}", "consecutive", terms, "<=", cap))
                 for j in range(i + 1, slots):
                     terms = (hi[j], lo[i], t_neg)
-                    span.append(Constraint(f"cs_{len(span)}", "consecutive", terms, "<=", cap))
+                    span.append(Constraint(f"{prefix}_{len(span)}", "consecutive", terms, "<=", cap))
 
     # non-overlap
     for p, q in pairs:
@@ -324,17 +324,13 @@ def build_model(
             )
             for i in forbidden:
                 emit("guard-band", [(xei[p][e][i], 1)], "=", 0)
-    if gb > 0:  # these rows skip emit too, like the span rows
-        guard = rows["guard-band"]
+    if gb > 0:
         for p, q in pairs:
-            o_pos = (o[p, q], 1)
             for e in shared[(p, q)]:
-                ours = [(n, 1) for n in xei[p][e]]
-                theirs = [(n, 1) for n in xei[q][e]]
+                ours, theirs = xei[p][e], xei[q][e]
                 for j in range(slots):
                     for i in range(max(0, j - gb), min(slots, j + gb + 1)):
-                        terms = (ours[j], theirs[i], o_pos)
-                        guard.append(Constraint(f"gb_{len(guard)}", "guard-band", terms, "<=", 2))
+                        emit("guard-band", [(ours[j], 1), (theirs[i], 1), (o[p, q], 1)], "<=", 2)
 
     # bandwidth: total slots equal the demand
     emit("bandwidth", [(n, 1) for p in paths for n in y[p]], "=", demand)
@@ -410,8 +406,10 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
         v = assignment[name]
         if v != int(v) or not lb <= v <= ub:
             violations.append(("bounds", idx))
-    failed = []
-    for pos, (_, _, coeffs, relation, rhs) in enumerate(model.constraints):
+    seen: dict[str, int] = {}  # rows of each family so far
+    for _, family, coeffs, relation, rhs in model.constraints:
+        idx = seen.get(family, 0)
+        seen[family] = idx + 1
         lhs = 0
         for n, c in coeffs:
             lhs += c * assignment[n]
@@ -423,15 +421,7 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
                 continue
         elif lhs == rhs:
             continue
-        failed.append(pos)
-    if failed:  # number each failed row within its family
-        families = [con.family for con in model.constraints[: failed[-1] + 1]]
-        before: Counter[str] = Counter()  # rows of each family ahead of ``start``
-        start = 0
-        for pos in failed:
-            before.update(families[start:pos])
-            start = pos
-            violations.append((families[pos], before[families[pos]]))
+        violations.append((family, idx))
     return violations
 
 
