@@ -260,8 +260,10 @@ def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
     """One cell per (mode, k, gb, tr, load, seed), nested in that order.
 
     ``demand`` names the cell's demand column, as in the command's output key.
+    A cell's ``traffic`` is the offered traffic it simulates at that demand.
     """
     fiber = _fiber(cfg)
+    rate = cfg["arrival_rate"]
     return [
         {
             "fiber": fiber,
@@ -273,9 +275,14 @@ def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
             demand: tr,
             "load": load,
             "seed": seed,
-            "requests": cfg["requests"],
-            "warmup": cfg["warmup"],
-            "arrival_rate": cfg["arrival_rate"],
+            "traffic": sim.TrafficConfig(
+                mean_holding=load / rate,
+                requests=cfg["requests"],
+                seed=seed,
+                arrival_rate=rate,
+                demand=tr,
+                warmup_frac=cfg["warmup"],
+            ),
             **extra,
         }
         for label, mode, m_us in cfg["modes"]
@@ -287,33 +294,24 @@ def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
     ]
 
 
-def _cell_inputs(cell: dict, demand: int | tuple[int, int]) -> tuple:
-    """The (traffic, policy) that one grid cell simulates at ``demand``."""
-    traffic = sim.TrafficConfig(
-        mean_holding=cell["load"] / cell["arrival_rate"],
-        requests=cell["requests"],
-        seed=cell["seed"],
-        arrival_rate=cell["arrival_rate"],
-        demand=demand,
-        warmup_frac=cell["warmup"],
-    )
-    policy = PolicyParams(
+def _policy(cell: dict) -> PolicyParams:
+    return PolicyParams(
         mode=cell["mode"],
         k=cell["k"],
         gb=cell["gb"],
         max_dd_ps=int(round(cell["m_us"] * 1e6)),
     )
-    return traffic, policy
 
 
 def _sim_cell(net: Network, cell: dict) -> sim.Metrics:
-    return sim.run(net, *_cell_inputs(cell, cell["tr"]), cell["fiber"])
+    return sim.run(net, cell["traffic"], _policy(cell), cell["fiber"])
 
 
 def _probe_cell(net: Network, cell: dict) -> sim.ProbeMetrics:
     return sim.probe_run(
         net,
-        *_cell_inputs(cell, cell["bg_tr"]),
+        cell["traffic"],
+        _policy(cell),
         cell["fiber"],
         probe_demand=cell["probe_tr"],
         probes=cell["probes"],
@@ -337,16 +335,24 @@ def _pool_cell(task: tuple) -> object:
 def _run_grid(net: Network, cells: list[dict], worker, jobs: int) -> list:
     """``worker(net, cell)`` for every cell, returned in cell order.
 
-    Cells run in descending K, so each process enumerates a pair's routes at
-    the largest K it meets and serves every smaller K from that table's
-    prefix.  Under ``jobs > 1`` each worker process receives the network
+    Under ``jobs == 1`` cells run grouped by traffic, the groups in order of
+    first appearance and each in descending K: the network's draw memo draws
+    each traffic once, and since every group holds every K, the first cell
+    has the grid's largest K, so each pair's routes are enumerated once, at
+    that K, and every smaller K reads that table's prefix.  Under
+    ``jobs > 1`` cells run in descending K, so each worker process
+    enumerates a pair at the largest K it meets; each receives the network
     once, through the pool's initializer, and cells travel without it; no
     more workers start than there are cells.
     """
-    order = sorted(range(len(cells)), key=lambda i: -cells[i]["k"])
     if jobs == 1:
+        group: dict = {}
+        for cell in cells:
+            group.setdefault(cell["traffic"], len(group))
+        order = sorted(range(len(cells)), key=lambda i: (group[cells[i]["traffic"]], -cells[i]["k"]))
         results = [worker(net, cells[i]) for i in order]
     else:
+        order = sorted(range(len(cells)), key=lambda i: -cells[i]["k"])
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(cells)), initializer=_set_pool_net, initargs=(net,)
         ) as pool:

@@ -34,7 +34,8 @@ greedy, and stops as soon as the demand is met or the delay passes the
 anchor (the earliest non-empty route) plus M.  That is the candidate order of
 one global (delay, start, rank) sort, so the plan is the same, but routes past
 the stop are never read into blocks.  Two bands share an arc when their
-routes' ``arc_mask`` bits meet.
+routes' ``arc_mask`` bits meet, and on a shared arc a fragment is too close
+to an accepted band when its slot bits meet that band grown by the guard band.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps
-from .spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear, runs
+from .spectrum import SlotRange, SpectrumPath, SpectrumState, runs
 from .topology import Link, Network
 
 MODE_SINGLE = "st"
@@ -287,7 +288,11 @@ def assign_spectrum(
     # (delay, rank) is unique, so the masks are never compared
     order = sorted((routes[rank].delay_ps, rank, free) for rank, free in masks)
     limit = order[0][0] + policy.max_dd_ps  # anchor: the earliest non-empty route
-    accepted: list[tuple[int, SpectrumPath]] = []  # (route arc_mask, band)
+    # an accepted band as (route arc_mask, fence): the fence is the band's
+    # slot bits grown by gb (clipped at slot 0), so a fragment sharing an arc
+    # is too close exactly when its slot bits meet the fence
+    fences: list[tuple[int, int]] = []
+    bands: list[SpectrumPath] = []
     total = 0
     for delay, group in groupby(order, itemgetter(0)):
         if delay > limit:
@@ -296,20 +301,19 @@ def assign_spectrum(
         candidates = sorted(
             (block.start, rank, block) for _delay, rank, free in group for block in runs(free)
         )
-        for _start, rank, block in candidates:
+        for start, rank, block in candidates:
             route = routes[rank]
+            arc_mask = route.arc_mask
             take = min(block.length, demand - total)
-            band_range = SlotRange(block.start, take)
-            conflict = any(
-                route.arc_mask & acc_mask and not ranges_clear(acc.range, band_range, gb)
-                for acc_mask, acc in accepted
-            )
-            if conflict:
+            band = ((1 << take) - 1) << start
+            if any(arc_mask & acc_mask and fence & band for acc_mask, fence in fences):
                 continue
-            accepted.append((route.arc_mask, SpectrumPath(route.arcs, band_range, delay)))
+            low = max(0, start - gb)
+            fences.append((arc_mask, ((1 << (start + take + gb - low)) - 1) << low))
+            bands.append(SpectrumPath(route.arcs, SlotRange(start, take), delay))
             total += take
             if total == demand:
-                return Solution(tuple(band for _, band in accepted))
+                return Solution(tuple(bands))
     return None
 
 

@@ -3,8 +3,13 @@
 Reproducibility contract: one stdlib Mersenne-Twister stream per random
 purpose (arrivals, holding, pairs, demand, probe-pairs, probe-demand), each
 seeded with "<seed>/<purpose>" so a run is a pure function of its inputs.
-All per-request draws happen up front in request order, which keeps the
-offered traffic identical across policies under the same seed.
+All per-request draws happen up front, in request order, for the arrivals a
+run simulates, which keeps the offered traffic identical across policies
+under the same seed.  Each stream is read in request order, so the first n
+draws do not depend on how many are drawn: a probe run stops after the
+arrival its last probe follows, and reads the same background as a run of
+all ``requests``.  The network keeps the last draw (``Network.draw_memo``),
+so grid cells that share a traffic draw it once.
 
 Every time unit of mean inter-arrival at rate u with mean holding h offers
 u*h Erlang of load; the CLI keeps u = 1 and varies h.
@@ -54,6 +59,17 @@ class TrafficConfig:
             raise ValueError("requests must be >= 1")
         if not (0 <= self.warmup_frac < 1):
             raise ValueError("warmup_frac must be in [0, 1)")
+        demand = self.demand
+        if demand < 1 if isinstance(demand, int) else _bad_range(demand):
+            raise ValueError(f"demand must be an int >= 1 or (lo, hi) with 1 <= lo <= hi, got {demand!r}")
+        if self.sd_pairs is not None:
+            pairs = tuple((src, dst) for src, dst in self.sd_pairs)
+            if not pairs:
+                raise ValueError("sd_pairs must name at least one pair")
+            for src, dst in pairs:
+                if src == dst:
+                    raise ValueError(f"sd_pairs has a self-pair at {src!r}")
+            object.__setattr__(self, "sd_pairs", pairs)  # a tuple, so the config hashes
 
     @property
     def load_erlang(self) -> float:
@@ -89,17 +105,32 @@ class ProbeMetrics:
         return self.blocked / self.probes if self.probes else 0.0
 
 
+def _bad_range(demand) -> bool:
+    """True unless ``demand`` is a tuple ``(lo, hi)`` of ints with ``1 <= lo <= hi``."""
+    return not (
+        isinstance(demand, tuple)
+        and len(demand) == 2
+        and all(isinstance(v, int) for v in demand)
+        and 1 <= demand[0] <= demand[1]
+    )
+
+
 def _stream(seed: int, purpose: str) -> random.Random:
     return random.Random(f"{seed}/{purpose}")
 
 
 def _pair_table(net: Network, traffic: TrafficConfig) -> list[tuple[str, str]]:
-    if traffic.sd_pairs is not None:
-        return list(traffic.sd_pairs)
-    return list(permutations(net.nodes, 2))
+    if traffic.sd_pairs is None:
+        return list(permutations(net.nodes, 2))
+    for pair in traffic.sd_pairs:
+        for node in pair:
+            if not net.has_node(node):
+                raise ValueError(f"sd_pairs node {node!r} is not in the network")
+    return list(traffic.sd_pairs)
 
 
-def _draw_requests(net: Network, traffic: TrafficConfig) -> list[Request]:
+def _draw(net: Network, traffic: TrafficConfig, count: int | None = None) -> tuple[Request, ...]:
+    """The first ``count`` requests of the traffic (all ``requests`` by default)."""
     arrivals = _stream(traffic.seed, "arrivals")
     holding = _stream(traffic.seed, "holding")
     pairs_rng = _stream(traffic.seed, "pairs")
@@ -109,7 +140,7 @@ def _draw_requests(net: Network, traffic: TrafficConfig) -> list[Request]:
 
     out: list[Request] = []
     t = 0.0
-    for _ in range(traffic.requests):
+    for _ in range(traffic.requests if count is None else count):
         t += arrivals.expovariate(traffic.arrival_rate)
         src, dst = pairs[pairs_rng.randrange(len(pairs))]
         if fixed:
@@ -119,7 +150,18 @@ def _draw_requests(net: Network, traffic: TrafficConfig) -> list[Request]:
             tr = demand_rng.randint(lo, hi)
         hold = holding.expovariate(1.0 / traffic.mean_holding)
         out.append(Request(src, dst, tr, arrival=t, holding=hold))
-    return out
+    return tuple(out)
+
+
+def _draw_requests(net: Network, traffic: TrafficConfig, count: int) -> tuple[Request, ...]:
+    """:func:`_draw`, kept in ``net.draw_memo`` until another draw replaces it."""
+    key = (traffic, count)
+    memo = net.draw_memo
+    requests = memo.get(key)
+    if requests is None:
+        memo.clear()
+        requests = memo[key] = _draw(net, traffic, count)
+    return requests
 
 
 def _simulate(
@@ -127,19 +169,21 @@ def _simulate(
     traffic: TrafficConfig,
     policy: PolicyParams,
     fiber_params: FiberParams | None,
+    stop: int,
     *,
     audit: bool = False,
     after_arrival: Callable[[int, SpectrumState], None] | None = None,
 ) -> Metrics:
-    """The event loop behind :func:`run` and :func:`probe_run`.
+    """The event loop behind :func:`run` and :func:`probe_run`, over the first ``stop`` arrivals.
 
     Departures due at an arrival instant release first.  ``after_arrival``
     sees each arrival's index counted from the first measured one (negative
-    during warm-up) and the live ledger after ``serve``.  Routes come from
+    during warm-up) and the live ledger after ``serve``.  The warm-up is a
+    fraction of all ``requests``, whatever ``stop`` is.  Routes come from
     the memo on ``net``: runs on one network share their route enumerations.
     """
     state = SpectrumState(net)
-    requests = _draw_requests(net, traffic)
+    requests = _draw_requests(net, traffic, stop)
     warmup = int(traffic.requests * traffic.warmup_frac)
     metrics = Metrics()
     departures: list[tuple[float, int, tuple[int, ...]]] = []
@@ -196,7 +240,7 @@ def run(
     With ``audit`` every admission is checked against the delay bound and
     the ledger invariants.
     """
-    return _simulate(net, traffic, policy, fiber_params, audit=audit)
+    return _simulate(net, traffic, policy, fiber_params, traffic.requests, audit=audit)
 
 
 def probe_run(
@@ -214,12 +258,19 @@ def probe_run(
     Background traffic runs as in :func:`run`; once past warm-up, every
     ``spacing``-th arrival is followed by one probe (pair drawn like the
     background's, demand drawn from ``probe_demand``) that is planned but
-    never allocated.
+    never allocated.  No output reads the background after the last probe,
+    so the run stops at the arrival that probe follows.
     """
     if spacing < 1:
         raise ValueError(f"probe spacing must be >= 1, got {spacing}")
     if probes < 0:
         raise ValueError(f"probe count must be >= 0, got {probes}")
+    if _bad_range(probe_demand):
+        raise ValueError(f"probe_demand must be (lo, hi) with 1 <= lo <= hi, got {probe_demand!r}")
+    if probes == 0:
+        return ProbeMetrics(0, 0)
+    warmup = int(traffic.requests * traffic.warmup_frac)
+    stop = min(traffic.requests, warmup + (probes - 1) * spacing + 1)
     probe_pairs = _stream(traffic.seed, "probe-pairs")
     probe_demand_rng = _stream(traffic.seed, "probe-demand")
     pairs = _pair_table(net, traffic)
@@ -237,7 +288,7 @@ def probe_run(
         if assign_spectrum(state, routes, req, policy) is None:
             blocked += 1
 
-    _simulate(net, traffic, policy, fiber_params, after_arrival=probe)
+    _simulate(net, traffic, policy, fiber_params, stop, after_arrival=probe)
     return ProbeMetrics(done, blocked)
 
 

@@ -56,8 +56,7 @@ class SpectrumPath:
     allocation_id: int | None = None
 
 
-@dataclass(frozen=True)
-class _Alloc:
+class _Alloc(NamedTuple):
     arc_ids: tuple[int, ...]
     range: SlotRange
 
@@ -125,6 +124,15 @@ class SpectrumState:
         occ = self._occ
         full = self._full
         shifts = range(1, gb + 1)
+        # erosion: bit i stays set only while bits i .. i+covered-1 are all
+        # set; each step adds to ``covered``, doubling it until it would pass
+        # ``length``, then closing the gap
+        steps = []
+        covered = 1
+        while covered < length:
+            step = covered if 2 * covered <= length else length - covered
+            steps.append(step)
+            covered += step
         seen: list[tuple[int, int]] = []
         for index, arcs in enumerate(paths):
             taken = 0
@@ -137,14 +145,10 @@ class SpectrumState:
             if not free:
                 continue
             seen.append((index, free))
-            # erosion: bit i stays set only while bits i .. i+covered-1 are
-            # all set; each round adds ``step`` to ``covered``, and the step
-            # doubles until ``covered`` reaches ``length``
-            covered = 1
-            while covered < length and free:
-                step = covered if 2 * covered <= length else length - covered
+            for step in steps:
                 free &= free >> step
-                covered += step
+                if not free:
+                    break
             if free:
                 return index, seen
         return None, seen
@@ -188,7 +192,8 @@ class SpectrumState:
         Fails (without partial effects) if any slot is taken or an existing
         allocation sits within ``gb`` slots of the range on any arc.
         """
-        rng = SlotRange(*rng)
+        if not isinstance(rng, SlotRange):
+            rng = SlotRange(*rng)
         if gb < 0:
             raise SpectrumError(f"negative guard band: {gb}")
         if rng.length < 1 or rng.start < 0 or rng.start + rng.length > self.slots:

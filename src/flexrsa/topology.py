@@ -89,6 +89,15 @@ class Network:
         return {}
 
     @cached_property
+    def draw_memo(self) -> dict:
+        """The last traffic drawn on this network; out of equality, hash and repr.
+
+        ``sim`` keeps here one draw, keyed by (traffic config, request
+        count), so grid cells that share a traffic draw it once.
+        """
+        return {}
+
+    @cached_property
     def bound_memo(self) -> dict:
         """Phase-1 search bounds by destination; out of equality, hash and repr.
 

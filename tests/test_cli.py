@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from flexrsa import cli, heuristic, oracle
+from flexrsa import cli, heuristic, oracle, sim
 from flexrsa.cli import main
 
 from util import circulant_15_text
@@ -280,6 +280,40 @@ class TestSimulate:
         assert len(enumerations) > 100  # of abilene's 132 ordered pairs
         assert set(enumerations.values()) == {1}
         assert ks == {8}
+
+    @pytest.mark.parametrize(
+        "argv, draws, largest",
+        [
+            (["simulate", "--mode", "st,pt1", "--k", "4", "--tr", "1-4", "--seeds", "0..0"], 1, 4),
+            (["probe", "--mode", "pt", "--k", "4,8", "--bg-tr", "1-4", "--probe-tr", "2-3",
+              "--seeds", "0..1", "--probes", "10", "--spacing", "20"], 2, 8),
+        ],
+    )
+    def test_serial_grid_draws_each_traffic_once(self, tmp_path, monkeypatch, argv, draws, largest):
+        # at --jobs 1 the cells of one traffic run together, largest K first:
+        # one draw per traffic, and each pair is still enumerated once, at that K
+        drawn = []
+        enumerations = Counter()
+        ks = set()
+        draw, enumerate_paths = sim._draw, heuristic.compute_fiber_paths
+
+        def counted_draw(net, traffic, count=None):
+            drawn.append(traffic.seed)
+            return draw(net, traffic, count)
+
+        def counted_enumerate(net, source, destination, k, stats=None):
+            enumerations[source, destination] += 1
+            ks.add(k)
+            return enumerate_paths(net, source, destination, k, stats=stats)
+
+        monkeypatch.setattr(sim, "_draw", counted_draw)
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        rc = main(argv + ["--topology", "abilene", "--slots", "16", "--load", "30",
+                          "--requests", "250", "--jobs", "1", "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert len(drawn) == draws
+        assert enumerations and set(enumerations.values()) == {1}
+        assert ks == {largest}
 
     def test_bad_demand_in_scenario_rejected(self, tmp_path, capsys):
         scn = tmp_path / "s.scn"

@@ -1,8 +1,10 @@
 import math
 import random
 from importlib import resources
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexrsa import heuristic, sim
 from flexrsa.heuristic import PolicyParams, Request, serve
@@ -20,7 +22,7 @@ from flexrsa.sim import (
 from flexrsa.spectrum import SpectrumState
 from flexrsa.topology import load_topology
 
-from util import make_net
+from util import make_net, reference_probe_run
 
 US_TEXT = resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text()
 US16 = load_topology(US_TEXT, slots_per_link=16)
@@ -98,6 +100,54 @@ class TestRun:
             TrafficConfig(mean_holding=1.0, requests=0, seed=0)
         with pytest.raises(ValueError):
             TrafficConfig(mean_holding=1.0, requests=10, seed=0, warmup_frac=1.0)
+
+    @pytest.mark.parametrize("demand", [0, -2, (3, 1), (0, 2), (1,), (1, 2, 3), (1.0, 2), "1-4"])
+    def test_bad_demand_rejected(self, demand):
+        with pytest.raises(ValueError, match="demand must be"):
+            TrafficConfig(mean_holding=1.0, requests=10, seed=0, demand=demand)
+
+    def test_bad_sd_pairs_rejected(self):
+        with pytest.raises(ValueError, match="at least one pair"):
+            TrafficConfig(mean_holding=1.0, requests=10, seed=0, sd_pairs=())
+        with pytest.raises(ValueError, match="self-pair at 'A'"):
+            TrafficConfig(mean_holding=1.0, requests=10, seed=0, sd_pairs=(("A", "B"), ("A", "A")))
+
+    def test_sd_pairs_node_outside_network_named(self):
+        traffic = TrafficConfig(mean_holding=1.0, requests=10, seed=0, sd_pairs=(("A", "Z"),))
+        with pytest.raises(ValueError, match="sd_pairs node 'Z' is not in the network"):
+            run(one_link_net(), traffic, PolicyParams(mode="st", k=1))
+        with pytest.raises(ValueError, match="sd_pairs node 'Z' is not in the network"):
+            probe_run(one_link_net(), traffic, PolicyParams(mode="st", k=1),
+                      probe_demand=(1, 1), probes=1)
+
+    def test_sd_pairs_kept_as_tuples(self):
+        # the config keys the draw memo, so it must hash whatever sequence it was given
+        traffic = TrafficConfig(mean_holding=1.0, requests=10, seed=0, sd_pairs=[["A", "B"]])
+        assert traffic.sd_pairs == (("A", "B"),)
+        assert hash(traffic) == hash(
+            TrafficConfig(mean_holding=1.0, requests=10, seed=0, sd_pairs=(("A", "B"),))
+        )
+
+
+class TestDraw:
+    @pytest.mark.parametrize("demand", [3, (1, 4)])
+    def test_prefix_of_full_draw(self, demand):
+        # each stream is read in request order, so a shorter draw is a prefix
+        traffic = TrafficConfig(mean_holding=30.0, requests=300, seed=7, demand=demand)
+        full = sim._draw(US16, traffic)
+        assert len(full) == 300
+        for n in (0, 1, 57, 299, 300):
+            assert sim._draw(US16, traffic, n) == full[:n]
+
+    def test_memo_keeps_one_draw(self):
+        net = load_topology(US_TEXT, slots_per_link=16)
+        a = TrafficConfig(mean_holding=30.0, requests=100, seed=1, demand=(1, 4))
+        b = TrafficConfig(mean_holding=30.0, requests=100, seed=2, demand=(1, 4))
+        first = sim._draw_requests(net, a, 100)
+        assert sim._draw_requests(net, a, 100) is first
+        assert sim._draw_requests(net, a, 60) == first[:60]
+        assert sim._draw_requests(net, b, 100) == sim._draw(net, b)
+        assert list(net.draw_memo) == [(b, 100)]
 
 
 class TestGuardBandMonotonicity:
@@ -187,7 +237,8 @@ class TestProbe:
 
     def test_probes_do_not_mutate_outcome(self, monkeypatch):
         # probes are planned, never allocated: the background admits exactly
-        # what a plain run admits, decision by decision
+        # what a plain run admits, decision by decision, up to the arrival the
+        # last probe follows (0 + 29 * 10), where the probe run stops
         traffic = TrafficConfig(mean_holding=30.0, requests=1000, seed=6, demand=(1, 4), warmup_frac=0.0)
         policy = PolicyParams(mode="pt", k=6)
 
@@ -206,7 +257,8 @@ class TestProbe:
         monkeypatch.setattr(sim, "serve", recording(probed))
         with_probes = probe_run(US16, traffic, policy, probe_demand=(4, 6), probes=30, spacing=10)
         assert len(plain) == traffic.requests
-        assert probed == plain
+        assert len(probed) == 291
+        assert probed == plain[:291]
         assert with_probes.probes == 30
 
     def test_probes_honour_sd_pairs(self):
@@ -217,22 +269,25 @@ class TestProbe:
         assert pm == ProbeMetrics(20, 0)
 
     def test_run_after_probe_run_reuses_routes(self, monkeypatch):
-        # routes live on the network: a second run on it enumerates nothing
+        # routes live on the network: a later run on it enumerates no pair the
+        # probe run met, and no pair twice
         net = load_topology(US_TEXT, slots_per_link=16)
         traffic = TrafficConfig(mean_holding=20.0, requests=600, seed=2, demand=(1, 4))
         policy = PolicyParams(mode="pt", k=6, gb=1)
         probe_run(net, traffic, policy, probe_demand=(2, 4), probes=20, spacing=10)
+        known = set(net.route_memo)
         calls = []
         enumerate_paths = heuristic.compute_fiber_paths
 
         def counted(*args, **kwargs):
-            calls.append(args[1:4])
+            calls.append(args[1:3])
             return enumerate_paths(*args, **kwargs)
 
         monkeypatch.setattr(heuristic, "compute_fiber_paths", counted)
         metrics = run(net, traffic, policy)
         assert metrics.offered > 0
-        assert calls == []
+        assert known and not known & set(calls)
+        assert len(calls) == len(set(calls))
 
     def test_probe_arguments_validated(self):
         traffic = TrafficConfig(mean_holding=1.0, requests=10, seed=0)
@@ -241,6 +296,36 @@ class TestProbe:
             probe_run(US16, traffic, policy, probe_demand=(1, 1), probes=5, spacing=0)
         with pytest.raises(ValueError, match="probe count"):
             probe_run(US16, traffic, policy, probe_demand=(1, 1), probes=-5)
+        for probes in (0, 5):  # checked before a run without probes returns
+            with pytest.raises(ValueError, match="probe_demand"):
+                probe_run(US16, traffic, policy, probe_demand=(3, 1), probes=probes)
+        with pytest.raises(ValueError, match="probe_demand"):
+            probe_run(US16, traffic, policy, probe_demand=(0, 2), probes=5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        requests=st.integers(1, 150),
+        spacing=st.integers(1, 25),
+        probes=st.integers(0, 20),  # from none to more than the background holds
+        warmup_frac=st.floats(0.0, 0.5),
+        sd_pairs=st.sampled_from([None, (("Seattle", "Miami"), ("Boston", "Denver"))]),
+    )
+    def test_stops_at_last_probe(self, seed, requests, spacing, probes, warmup_frac, sd_pairs):
+        # the probe run serves the background up to the arrival its last probe
+        # follows, and returns what a run of the whole background returns
+        traffic = TrafficConfig(
+            mean_holding=40.0, requests=requests, seed=seed, demand=(1, 4),
+            warmup_frac=warmup_frac, sd_pairs=sd_pairs,
+        )
+        policy = PolicyParams(mode="pt", k=6, gb=1)
+        kwargs = dict(probe_demand=(4, 6), probes=probes, spacing=spacing)
+        warmup = int(requests * warmup_frac)
+        stop = min(requests, warmup + (probes - 1) * spacing + 1) if probes else 0
+        with mock.patch.object(sim, "serve", wraps=sim.serve) as served:
+            pm = probe_run(US16, traffic, policy, **kwargs)
+        assert served.call_count == stop
+        assert pm == reference_probe_run(US16, traffic, policy, **kwargs)
 
 
 class TestCsv:

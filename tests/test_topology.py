@@ -103,9 +103,10 @@ class TestOutgoing:
         a = load_topology(US_TEXT, slots_per_link=16)
         b = load_topology(US_TEXT, slots_per_link=16)
         a.route_memo[("Seattle", "Miami", 1)] = []
+        a.draw_memo[("traffic", 1)] = ()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert "route_memo" not in repr(a)
-        assert b.route_memo == {}
+        assert "route_memo" not in repr(a) and "draw_memo" not in repr(a)
+        assert b.route_memo == {} and b.draw_memo == {}
 
     def test_stable_order(self):
         net = make_net([("A", "C", 100), ("A", "B", 100), ("A", "D", 100)], slots=8)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from flexrsa.heuristic import MODE_PARALLEL, Solution
+from flexrsa import sim
+from flexrsa.heuristic import MODE_PARALLEL, Request, Solution, assign_spectrum, cached_fiber_paths
 from flexrsa.spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
 from flexrsa.topology import Network, load_topology
 
@@ -198,3 +199,31 @@ def reference_check_assignment(model, assignment) -> list[tuple[str, int]]:
         if not holds:
             violations.append((con.family, idx))
     return violations
+
+
+def reference_probe_run(net, traffic, policy, fiber_params=None, *, probe_demand, probes, spacing=25):
+    """The probe run that ``sim.probe_run`` replaced.
+
+    It simulates all ``requests`` background arrivals, though nothing it
+    returns reads those after the last probe; the probe run that stops there
+    must return the same metrics.
+    """
+    probe_pairs = sim._stream(traffic.seed, "probe-pairs")
+    probe_demand_rng = sim._stream(traffic.seed, "probe-demand")
+    pairs = sim._pair_table(net, traffic)
+    done = 0
+    blocked = 0
+
+    def probe(pos, state):
+        nonlocal done, blocked
+        if pos < 0 or done >= probes or pos % spacing:
+            return
+        src, dst = pairs[probe_pairs.randrange(len(pairs))]
+        req = Request(src, dst, probe_demand_rng.randint(*probe_demand))
+        routes = cached_fiber_paths(net, src, dst, policy.k)
+        done += 1
+        if assign_spectrum(state, routes, req, policy) is None:
+            blocked += 1
+
+    sim._simulate(net, traffic, policy, fiber_params, traffic.requests, after_arrival=probe)
+    return sim.ProbeMetrics(done, blocked)
