@@ -5,7 +5,7 @@ an exhaustive test oracle, and a seeded dynamic-traffic simulator.
 """
 
 from .heuristic import PolicyParams, Request, Route, Solution, assign_spectrum, compute_fiber_paths, serve
-from .physics import FiberParams, gvd_differential_delay_ps, propagation_delay_ps, slot_width_nm
+from .physics import FiberParams, gvd_differential_delay_ps, slot_width_nm
 from .spectrum import SlotRange, SpectrumPath, SpectrumState
 from .topology import Link, Network, TopologyError, dump_topology, load_topology
 
@@ -26,7 +26,6 @@ __all__ = [
     "dump_topology",
     "gvd_differential_delay_ps",
     "load_topology",
-    "propagation_delay_ps",
     "serve",
     "slot_width_nm",
 ]

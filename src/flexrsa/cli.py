@@ -164,7 +164,6 @@ def _fiber(cfg: dict) -> FiberParams:
         dispersion_ps_per_nm_km=cfg["dispersion"],
         central_frequency_thz=cfg["fc_thz"],
         slot_width_ghz=cfg["slot_ghz"],
-        propagation_speed_km_s=cfg["speed_kms"],
     )
 
 

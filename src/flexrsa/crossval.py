@@ -9,8 +9,8 @@ honest on tiny instances:
   * the checker and the oracle's direct feasibility test agree on randomly
     sampled band combinations, feasible or not.
 
-Dispersion is zeroed here so the checker's skew terms match the oracle's
-include_gvd=False delay rule.
+No encoding here gets a ``FiberParams``, so every dispersion skew is 0 and
+all three test the delay spread alone.
 """
 
 from __future__ import annotations
@@ -20,11 +20,9 @@ from dataclasses import dataclass
 
 from . import ilp, oracle
 from .heuristic import PolicyParams, Request, serve
-from .physics import FiberParams
+from .physics import propagation_ps
 from .spectrum import SlotRange, SpectrumState
-from .topology import Link, Network
-
-_NO_GVD = FiberParams(dispersion_ps_per_nm_km=1e-12)
+from .topology import DEFAULT_PROPAGATION_KM_S, Link, Network
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,7 @@ def random_instance(
 
     def add_edge(a: str, b: str):
         length = float(rng.randint(100, 1500))
-        delay = round(length / 2.0e5 * 1e12)
+        delay = propagation_ps(length, DEFAULT_PROPAGATION_KM_S)
         links.append(Link(len(links), a, b, length, delay))
         links.append(Link(len(links), b, a, length, delay))
 
@@ -99,7 +97,6 @@ def _check_via_ilp(inst: Instance, routes, bands) -> list[tuple[str, int]]:
         slots=inst.net.slots_per_link,
         gb=inst.gb,
         max_dd_ps=inst.max_dd_ps,
-        fiber_params=_NO_GVD,
         occupied=inst.state.occupied_by_arc(),
     )
     assignment = ilp.assignment_from_bands(model, bands)
@@ -119,7 +116,6 @@ def validate_instance(inst: Instance, rng: random.Random) -> list[str]:
         gb=inst.gb,
         max_dd_ps=inst.max_dd_ps,
         k=inst.k,
-        include_gvd=False,
         limits=limits,
     )
 
@@ -168,7 +164,6 @@ def _checker_oracle_agreement(inst: Instance, rng: random.Random, samples: int =
         slots=slots,
         gb=inst.gb,
         max_dd_ps=inst.max_dd_ps,
-        fiber_params=_NO_GVD,
         occupied=occupied,
     )
     failures = []
@@ -189,7 +184,6 @@ def _checker_oracle_agreement(inst: Instance, rng: random.Random, samples: int =
             gb=inst.gb,
             max_dd_ps=inst.max_dd_ps,
             demand=inst.demand,
-            include_gvd=False,
         )
         via_model = not ilp.check_assignment(model, ilp.assignment_from_bands(model, bands))
         if direct != via_model:

@@ -11,7 +11,8 @@ families are emitted symbolically over binary/integer variables:
     lin-gamma    gamma_{p,p',e} = xe_{p,e} * xe_{p',e} via three inequalities
     guard-band   forbidden slots near existing occupancy; pairwise slot gaps
     bandwidth    total slots across paths equal the demand
-    gvd          dispersion skew tied to band size and route length
+    gvd          dispersion skew tied to band size and route length (pinned
+                 to 0 when the model is built without ``FiberParams``)
     lin-z        z_{p,e} = T_p * xe_{p,e} via three inequalities
     delay        path delay from arc delays
     diff-delay   pairwise delay spread plus skews bounded by M (deactivated
@@ -98,12 +99,7 @@ class ModelMeta:
     arc_delay: Mapping[int, int]
     arc_length: Mapping[int, float]
     slots: int
-    gb: int
-    max_dd_ps: int
-    fiber: FiberParams
-    occupied: Mapping[int, tuple[int, ...]]
-    source: str
-    destination: str
+    fiber: FiberParams | None
     demand: int
 
 
@@ -160,7 +156,8 @@ def build_model(
 
     ``occupied`` maps arc id to already-taken slot indices; slots within the
     guard band of taken spectrum become forbidden for the request (the
-    available-set exclusion rule).
+    available-set exclusion rule).  Without ``fiber_params`` the dispersion
+    is 0, so the gvd rows pin every skew variable to 0.
     """
     if not candidate_paths:
         raise ModelError("empty candidate path set")
@@ -172,7 +169,6 @@ def build_model(
         raise ModelError(f"gb must be >= 0, got {gb}")
     if max_dd_ps < 0:
         raise ModelError(f"max_dd_ps must be >= 0, got {max_dd_ps}")
-    fiber = fiber_params or FiberParams()
     routes = _normalize_paths(candidate_paths)
     npaths = len(routes)
     check_capacity(demand, npaths, slots)
@@ -186,11 +182,12 @@ def build_model(
 
     route_delay = [sum(arc_by_id[e].delay_ps for e in ids) for ids in route_ids]
     route_len = [sum(arc_by_id[e].length_km for e in ids) for ids in route_ids]
-    width_nm = slot_width_nm(fiber)
-    gvd_ub = [
-        int(math.ceil(fiber.dispersion_ps_per_nm_km * slots * width_nm * length)) + 1
-        for length in route_len
-    ]
+    if fiber_params is None:
+        dispersion = width_nm = 0.0
+    else:
+        dispersion = fiber_params.dispersion_ps_per_nm_km
+        width_nm = slot_width_nm(fiber_params)
+    gvd_ub = [int(math.ceil(dispersion * slots * width_nm * length)) + 1 for length in route_len]
     big_m = max(d + g for d, g in zip(route_delay, gvd_ub)) + 1
 
     pairs = [(p, q) for p in range(npaths) for q in range(p + 1, npaths)]
@@ -341,7 +338,7 @@ def build_model(
     for p in paths:
         coeffs = [(gv[p], 1)]
         for e in route_ids[p]:
-            c = Fraction(fiber.dispersion_ps_per_nm_km * width_nm * arc_by_id[e].length_km)
+            c = Fraction(dispersion * width_nm * arc_by_id[e].length_km)
             coeffs.append((z[p][e], -c))
         emit("gvd", coeffs, "<=", half)
         emit("gvd", [(n, -c) for n, c in coeffs], "<=", half)
@@ -378,12 +375,7 @@ def build_model(
         arc_delay={e: arc_by_id[e].delay_ps for e in e_used},
         arc_length={e: arc_by_id[e].length_km for e in e_used},
         slots=slots,
-        gb=gb,
-        max_dd_ps=max_dd_ps,
-        fiber=fiber,
-        occupied=occ,
-        source=source,
-        destination=destination,
+        fiber=fiber_params,
         demand=demand,
     )
     return ConstraintSystem(variables, constraints, objective, meta)
@@ -437,8 +429,8 @@ def assignment_from_bands(
     """Full variable assignment for one band (or None) per candidate path slot.
 
     Derived variables follow the model's own defining equalities: pd and T
-    from the route, gvd from the physics rounding, o/gamma/z from the
-    products they linearize.
+    from the route, gvd from the physics rounding (0 for a model built
+    without ``FiberParams``), o/gamma/z from the products they linearize.
     """
     meta = model.meta
     if meta is None:
@@ -464,9 +456,9 @@ def assignment_from_bands(
         t = band.length if band else 0
         a[f"T_p{p + 1}"] = t
         a[f"pd_p{p + 1}"] = sum(meta.arc_delay[e] for e in meta.paths[p]) if used[p] else 0
-        if used[p]:
+        if t and meta.fiber is not None:
             length = sum(meta.arc_length[e] for e in meta.paths[p])
-            a[f"gvd_p{p + 1}"] = gvd_differential_delay_ps(meta.fiber, t, length) if t else 0
+            a[f"gvd_p{p + 1}"] = gvd_differential_delay_ps(meta.fiber, t, length)
         else:
             a[f"gvd_p{p + 1}"] = 0
         for e in meta.paths[p]:

@@ -121,15 +121,14 @@ def check_bands(
     max_dd_ps: int,
     demand: int,
     fiber_params: FiberParams | None = None,
-    include_gvd: bool = False,
 ) -> bool:
     """Direct feasibility test for at most one band per candidate path.
 
     Checks, in prose terms: bands lie inside the spectrum and on free slots,
     keep more than gb slots of distance from existing occupancy and from each
-    other on shared arcs, their path delays (plus dispersion skew when
-    requested) spread within the bound pairwise, and their sizes sum to the
-    demand exactly.
+    other on shared arcs, their path delays plus both dispersion skews spread
+    within the bound pairwise, and their sizes sum to the demand exactly.
+    Without ``fiber_params`` every skew is 0.
     """
     chosen = [(i, b) for i, b in enumerate(bands_by_path) if b is not None]
     if sum(b.length for _, b in chosen) != demand:
@@ -146,11 +145,10 @@ def check_bands(
             if paths[pa].arc_mask & paths[pb].arc_mask and not _gap_ok(ba, bb, gb):
                 return False
             skew = 0
-            if include_gvd:
-                fp = fiber_params or FiberParams()
+            if fiber_params is not None:
                 skew = gvd_differential_delay_ps(
-                    fp, ba.length, paths[pa].length_km
-                ) + gvd_differential_delay_ps(fp, bb.length, paths[pb].length_km)
+                    fiber_params, ba.length, paths[pa].length_km
+                ) + gvd_differential_delay_ps(fiber_params, bb.length, paths[pb].length_km)
             if abs(paths[pa].delay_ps - paths[pb].delay_ps) + skew > max_dd_ps:
                 return False
     return True
@@ -167,7 +165,6 @@ def exact_solve(
     max_dd_ps: int = 128_000_000_000,
     k: int = 8,
     fiber_params: FiberParams | None = None,
-    include_gvd: bool = False,
     limits: OracleLimits = OracleLimits(),
     max_bands_per_path: int | None = None,
 ) -> OracleResult | None:
@@ -175,15 +172,17 @@ def exact_solve(
 
     Bands on the same route must come from distinct free blocks (a spectrum
     path carries one band per link); ``max_bands_per_path`` tightens that
-    further when aligning with a one-band-per-path model.  Cost ties resolve
-    to the fewest bands, then the lexicographically smallest band list.
+    further when aligning with a one-band-per-path model.  Each pair of
+    bands keeps its delay spread plus both dispersion skews within
+    ``max_dd_ps``; without ``fiber_params`` every skew is 0.  Cost ties
+    resolve to the fewest bands, then the lexicographically smallest band
+    list.
     """
     if len(net.nodes) > limits.max_nodes:
         raise BudgetExceeded(f"{len(net.nodes)} nodes exceed limit {limits.max_nodes}")
     if state.slots > limits.max_slots:
         raise BudgetExceeded(f"{state.slots} slots exceed limit {limits.max_slots}")
     budget = _Budget(limits.max_steps)
-    fp = fiber_params or FiberParams()
 
     routes = enumerate_routes(net, source, destination, min(k, limits.max_paths))
     occupied = state.occupied_by_arc()
@@ -205,8 +204,8 @@ def exact_solve(
                     if not _band_clears_state(rng, taken, gb):
                         continue
                     skew = (
-                        gvd_differential_delay_ps(fp, rng.length, route.length_km)
-                        if include_gvd
+                        gvd_differential_delay_ps(fiber_params, rng.length, route.length_km)
+                        if fiber_params is not None
                         else 0
                     )
                     candidates.append((pi, bi, rng, skew))

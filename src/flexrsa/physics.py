@@ -30,20 +30,16 @@ class FiberParams:
     """Fiber and grid parameters for delay computations.
 
     Defaults are standard single-mode fiber on the fixed 50 GHz grid around
-    193.1 THz with 17 ps/nm/km dispersion and a 2*10^5 km/s signal speed.
+    193.1 THz with 17 ps/nm/km dispersion.  The signal speed belongs to the
+    network (``Network.propagation_speed_km_s``), which fixes each arc's delay.
     """
 
     dispersion_ps_per_nm_km: float = 17.0
     central_frequency_thz: float = 193.1
     slot_width_ghz: float = 50.0
-    propagation_speed_km_s: float = 2.0e5
 
     def __post_init__(self):
-        for name in (
-            "dispersion_ps_per_nm_km",
-            "central_frequency_thz",
-            "propagation_speed_km_s",
-        ):
+        for name in ("dispersion_ps_per_nm_km", "central_frequency_thz"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.slot_width_ghz < 0:
@@ -79,8 +75,3 @@ def gvd_differential_delay_ps(params: FiberParams, band_slots: int, length_km: f
         raise ValueError(f"negative length: {length_km}")
     width_nm = band_slots * slot_width_nm(params)
     return round_half_up(params.dispersion_ps_per_nm_km * width_nm * length_km)
-
-
-def propagation_delay_ps(params: FiberParams, length_km: float) -> int:
-    """End-to-end propagation delay over ``length_km``, in integer ps."""
-    return propagation_ps(length_km, params.propagation_speed_km_s)

@@ -14,6 +14,7 @@ as indices into the per-arc occupancy ledger.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -24,6 +25,11 @@ DEFAULT_PROPAGATION_KM_S = 2.0e5
 
 class TopologyError(ValueError):
     """Raised for malformed topology input."""
+
+
+def _check_speed(speed_km_s: float) -> None:
+    if not (math.isfinite(speed_km_s) and speed_km_s > 0):
+        raise TopologyError(f"propagation_speed_km_s must be finite and > 0, got {speed_km_s}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,7 @@ class Network:
     def __post_init__(self):
         if self.slots_per_link < 1:
             raise TopologyError(f"slots_per_link must be >= 1, got {self.slots_per_link}")
+        _check_speed(self.propagation_speed_km_s)
         if len(set(self.nodes)) != len(self.nodes):
             raise TopologyError("duplicate node id")
         known = set(self.nodes)
@@ -131,7 +138,6 @@ class Network:
 
 @dataclass
 class _Parser:
-    speed_km_s: float
     nodes: list[str] = field(default_factory=list)
     seen: set[str] = field(default_factory=set)
     edges: list[tuple[str, str, float]] = field(default_factory=list)
@@ -177,7 +183,8 @@ def load_topology(
     propagation_speed_km_s: float = DEFAULT_PROPAGATION_KM_S,
 ) -> Network:
     """Parse a topology file, doubling each undirected edge into two arcs."""
-    parser = _Parser(propagation_speed_km_s)
+    _check_speed(propagation_speed_km_s)
+    parser = _Parser()
     for lineno, line in enumerate(text.splitlines(), start=1):
         parser.feed(lineno, line)
     if not parser.nodes:

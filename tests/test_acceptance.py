@@ -12,7 +12,7 @@ from pathlib import Path
 from flexrsa import ilp, oracle
 from flexrsa.crossval import cross_validate
 from flexrsa.heuristic import PolicyParams, Request, assign_spectrum, compute_fiber_paths
-from flexrsa.physics import FiberParams, propagation_delay_ps, gvd_differential_delay_ps, slot_ghz_for_width_nm
+from flexrsa.physics import FiberParams, gvd_differential_delay_ps, slot_ghz_for_width_nm
 from flexrsa.sim import TrafficConfig, probe_run, run
 from flexrsa.spectrum import SpectrumState
 from flexrsa.topology import load_topology
@@ -34,7 +34,8 @@ def test_01_gvd_formula():
 
 
 def test_02_path_diversity_delay():
-    value = propagation_delay_ps(FiberParams(propagation_speed_km_s=2.0e5), 1.0e4)
+    net = load_topology("node a\nnode b\nlink a b 1e4\n", slots_per_link=1, propagation_speed_km_s=2.0e5)
+    value = net.links[0].delay_ps
     criterion(2, "propagation delay over 1e4 km at 2e5 km/s is 5e10 ps (50 ms)", value == 5 * 10**10)
 
 

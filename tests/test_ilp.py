@@ -14,10 +14,7 @@ from flexrsa.topology import load_topology
 
 from util import circulant_15_text, make_net, milp_solve, paint, reference_check_assignment
 
-TINY_D = FiberParams(dispersion_ps_per_nm_km=1e-12)  # dispersion skew rounds to 0
-
-
-def shared_path_model(npaths=2, slots=8, gb=0, occupied=None, demand=2, fiber=TINY_D):
+def shared_path_model(npaths=2, slots=8, gb=0, occupied=None, demand=2, fiber=None):
     """npaths candidate slots over one and the same 3-arc route."""
     net = make_net([("S", "A", 100), ("A", "B", 100), ("B", "D", 100)], slots=slots)
     route = compute_fiber_paths(net, "S", "D", 1)[0]
@@ -28,7 +25,7 @@ def shared_path_model(npaths=2, slots=8, gb=0, occupied=None, demand=2, fiber=TI
     return net, route, model
 
 
-def diamond_model(demand=4, slots=16, gb=0, occupied=None, fiber=TINY_D):
+def diamond_model(demand=4, slots=16, gb=0, occupied=None, fiber=None):
     net = make_net(
         [("S", "A", 100), ("A", "D", 100), ("S", "B", 100), ("B", "D", 100)], slots=slots
     )
@@ -59,7 +56,7 @@ class TestModelShape:
         )
         routes = compute_fiber_paths(net, "S", "D", 4)
         assert len(routes) == 4
-        model = ilp.build_model(net, "S", "D", 4, routes, slots=16, fiber_params=TINY_D)
+        model = ilp.build_model(net, "S", "D", 4, routes, slots=16)
         assert model.variable_counts()["y"] == 64
 
     def test_gamma_vars_per_pair_equal_shared_arcs(self):
@@ -183,7 +180,7 @@ class TestCheckAssignment:
         occupied = {route.arcs[0].id: (3,)}
         model = ilp.build_model(
             net, "S", "D", 2, [route], slots=8, gb=1, max_dd_ps=10**12,
-            fiber_params=TINY_D, occupied=occupied,
+            occupied=occupied,
         )
         # slots 2,3,4 are forbidden (within gb=1 of slot 3)
         ok = ilp.assignment_from_bands(model, [SlotRange(5, 2)])
@@ -198,7 +195,7 @@ class TestCheckAssignment:
         routes = compute_fiber_paths(net, "S", "D", 2)
         model = ilp.build_model(
             net, "S", "D", 2, routes, slots=8, gb=0,
-            max_dd_ps=1_000_000, fiber_params=TINY_D,
+            max_dd_ps=1_000_000,
         )
         # only the short path used: the unused long path must not violate M
         a = ilp.assignment_from_bands(model, [SlotRange(0, 2), None])
@@ -231,7 +228,7 @@ class TestCost:
         )
         routes = compute_fiber_paths(net, "S", "D", 2)
         assert [len(r.arcs) for r in routes] == [2, 3]
-        model = ilp.build_model(net, "S", "D", 2, routes, slots=8, fiber_params=TINY_D)
+        model = ilp.build_model(net, "S", "D", 2, routes, slots=8)
         a = ilp.assignment_from_bands(model, [SlotRange(0, 1), SlotRange(1, 1)])
         assert ilp.solution_cost(a) == 5
 
@@ -245,7 +242,7 @@ class TestExport:
     def test_round_trip_toy(self):
         net = make_net([("S", "D", 100)], slots=2)
         route = compute_fiber_paths(net, "S", "D", 1)[0]
-        model = ilp.build_model(net, "S", "D", 1, [route], slots=2, fiber_params=TINY_D)
+        model = ilp.build_model(net, "S", "D", 1, [route], slots=2)
         again = ilp.parse_lp(ilp.export_lp(model))
         assert again == model
 
@@ -296,14 +293,14 @@ class TestSolverCrossValidation:
             routes = oracle.enumerate_routes(net, "S", "D", 2)
             best = oracle.exact_solve(
                 net, state, "S", "D", demand,
-                gb=gb, max_dd_ps=10**12, k=2, include_gvd=False,
+                gb=gb, max_dd_ps=10**12, k=2,
                 limits=oracle.OracleLimits(max_bands=len(routes)),
                 max_bands_per_path=1,
             )
             model = ilp.build_model(
                 net, "S", "D", demand, routes,
                 slots=slots, gb=gb, max_dd_ps=10**12,
-                fiber_params=TINY_D, occupied=state.occupied_by_arc(),
+                occupied=state.occupied_by_arc(),
             )
             solved = milp_solve(ilp.parse_lp(ilp.export_lp(model)))
             if best is None:
@@ -339,7 +336,7 @@ class TestHeuristicSolutionsPassChecker:
                 net, "S", "D", req.demand_slots,
                 [p.arcs for p in plan.paths],
                 slots=12, gb=policy.gb, max_dd_ps=policy.max_dd_ps,
-                fiber_params=TINY_D, occupied=state.occupied_by_arc(),
+                occupied=state.occupied_by_arc(),
             )
             a = ilp.assignment_from_bands(model, [p.range for p in plan.paths])
             assert ilp.check_assignment(model, a) == []
@@ -562,7 +559,7 @@ class TestCheckMatchesReference:
             model = ilp.build_model(
                 inst.net, inst.source, inst.destination, inst.demand, routes,
                 slots=inst.net.slots_per_link, gb=inst.gb, max_dd_ps=inst.max_dd_ps,
-                fiber_params=rng.choice((TINY_D, FiberParams())),
+                fiber_params=rng.choice((None, FiberParams())),
                 occupied=inst.state.occupied_by_arc(),
             )
             for a in _perturbed_assignments(model, rng, 4):

@@ -87,13 +87,10 @@ class TestExactSolve:
         arcs = {(l.src, l.dst): l for v in net.nodes for l in net.outgoing(v)}
         for pair in [("S", "A"), ("A", "D"), ("S", "B"), ("B", "D")]:
             paint(state, arcs[pair], "00110011")
-        relaxed = oracle.exact_solve(
-            net, state, "S", "D", 4, max_dd_ps=0, include_gvd=False, k=2
-        )
+        relaxed = oracle.exact_solve(net, state, "S", "D", 4, max_dd_ps=0, k=2)
         assert relaxed is not None  # equal-delay paths, no skew term
         strict = oracle.exact_solve(
-            net, state, "S", "D", 4, max_dd_ps=0, include_gvd=True,
-            fiber_params=FiberParams(), k=2,
+            net, state, "S", "D", 4, max_dd_ps=0, fiber_params=FiberParams(), k=2,
         )
         assert strict is None  # dispersion skew alone exceeds M=0
 
@@ -111,8 +108,7 @@ class TestCheckerAgreement:
             paint(state, arcs[pair], "00110011")
         fiber = FiberParams()
         res = oracle.exact_solve(
-            net, state, "S", "D", 4, max_dd_ps=10**9, include_gvd=True,
-            fiber_params=fiber, k=2,
+            net, state, "S", "D", 4, max_dd_ps=10**9, fiber_params=fiber, k=2,
         )
         assert res is not None and len(res.bands) >= 2
         model = ilp.build_model(
@@ -122,6 +118,42 @@ class TestCheckerAgreement:
         )
         a = ilp.assignment_from_bands(model, [b.range for b in res.bands])
         assert ilp.check_assignment(model, a) == []
+
+
+class TestDispersionSwitch:
+    """``fiber_params`` alone switches the skew: None means 0, FiberParams the physics."""
+
+    def test_none_accepts_and_fiber_params_rejects_equal_delay_pair(self):
+        from flexrsa import ilp
+
+        # two disjoint 2000 km routes of equal delay, free blocks (0,2) and (4,2)
+        net = make_net([("S", "A", 1000), ("A", "D", 1000), ("S", "B", 1000), ("B", "D", 1000)], slots=8)
+        state = SpectrumState(net)
+        arcs = {(l.src, l.dst): l for v in net.nodes for l in net.outgoing(v)}
+        for pair in [("S", "A"), ("A", "D"), ("S", "B"), ("B", "D")]:
+            paint(state, arcs[pair], "00110011")
+        routes = oracle.enumerate_routes(net, "S", "D", 2)
+        assert routes[0].delay_ps == routes[1].delay_ps
+        occupied = state.occupied_by_arc()
+        bands = [SlotRange(0, 2), SlotRange(0, 2)]
+        policy = PolicyParams(mode="pt", k=2, max_dd_ps=0)
+        for fiber, legal in ((None, True), (FiberParams(), False)):
+            model = ilp.build_model(
+                net, "S", "D", 4, routes, slots=8, max_dd_ps=0, fiber_params=fiber,
+                occupied=occupied,
+            )
+            a = ilp.assignment_from_bands(model, bands)
+            assert (a["gvd_p1"] == a["gvd_p2"] == 0) is legal
+            assert (ilp.check_assignment(model, a) == []) is legal
+            assert oracle.check_bands(
+                routes, occupied, bands, slots=8, gb=0, max_dd_ps=0, demand=4,
+                fiber_params=fiber,
+            ) is legal
+            res = oracle.exact_solve(net, state, "S", "D", 4, max_dd_ps=0, k=2, fiber_params=fiber)
+            assert (res is not None) is legal
+            sol = serve(state.copy(), net, Request("S", "D", 4), policy, fiber_params=fiber)
+            assert len(sol.paths) == 2
+            assert all(p.gvd_ps == 0 for p in sol.paths) is legal
 
 
 class TestAgainstHeuristic:

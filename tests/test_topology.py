@@ -3,7 +3,7 @@ from importlib import resources
 import pytest
 
 from flexrsa.physics import round_half_up
-from flexrsa.topology import TopologyError, dump_topology, load_topology
+from flexrsa.topology import Network, TopologyError, dump_topology, load_topology
 
 from util import make_net
 
@@ -82,6 +82,14 @@ class TestInvariants:
     def test_slots_validated(self):
         with pytest.raises(TopologyError):
             load_topology("node a\nnode b\nlink a b 5\n", slots_per_link=0)
+
+    @pytest.mark.parametrize("speed", [0.0, -2.0e5, float("inf"), float("nan")])
+    def test_propagation_speed_validated(self, speed):
+        # a negative speed would give negative arc delays, a zero one a division by zero
+        with pytest.raises(TopologyError, match="propagation_speed_km_s"):
+            load_topology("node a\nnode b\nlink a b 5\n", slots_per_link=4, propagation_speed_km_s=speed)
+        with pytest.raises(TopologyError, match="propagation_speed_km_s"):
+            Network(("a", "b"), (), slots_per_link=4, propagation_speed_km_s=speed)
 
 
 class TestOutgoing:
