@@ -2,7 +2,8 @@
 
 Scenario files are flat ``key = value`` text (comma-separated lists for grid
 keys); explicit command-line flags override scenario values, which override
-built-in defaults.  Grid runs write two CSVs (metrics + band-count
+built-in defaults.  Each ``simulate``/``probe`` key is one ``GRID_KEYS`` row,
+which gives its default, cast, range check and flag.  Grid runs write two CSVs (metrics + band-count
 distribution) atomically, so a scenario plus a seed fully determines every
 output byte, and print one summary row per cell key (mean over seeds and its
 95% t half-width).
@@ -23,6 +24,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
+from typing import Callable, NamedTuple
 
 from . import crossval, ilp, oracle, sim
 from .heuristic import PolicyParams, compute_fiber_paths
@@ -32,29 +34,54 @@ from .topology import Network, TopologyError, load_topology
 M_US_PT1 = 128_000.0  # 128 ms in us
 M_US_PT2 = 250.0
 
-_DEFAULTS = {
-    "topology": "us",
-    "slots": 128,
-    "mode": "pt1",
-    "k": "30",
-    "gb": "0",
-    "tr": "10",
-    "load": "75",
-    "seeds": "0..4",
-    "requests": 20000,
-    "warmup": 0.1,
-    "arrival_rate": 1.0,
-    "max_dd_us": M_US_PT1,
-    "dispersion": 17.0,
-    "fc_thz": 193.1,
-    "slot_ghz": 50.0,
-    "speed_kms": 2.0e5,
-    "jobs": 1,
-    "out": None,
-    "bg_tr": "1-4",
-    "probe_tr": "4-6",
-    "probes": 50,
-    "spacing": 25,
+
+class _Key(NamedTuple):
+    """One ``simulate``/``probe`` key: its default, how it is read and checked, its flag help."""
+
+    default: object
+    cast: type | None = None  # int or float; None keeps the text
+    listed: bool = False  # a comma list: each value is cast and checked
+    check: tuple[Callable[[object], bool], str] | None = None  # range test, what it accepts
+    help: str | None = None
+    command: str | None = None  # the one command that reads the key; None for both
+
+
+def _at_least(bound) -> tuple[Callable[[object], bool], str]:
+    return lambda v: v >= bound, f">= {bound}"
+
+
+_POSITIVE = (lambda v: v > 0, "> 0")
+
+# Every simulate/probe key, in the order it is resolved (max_dd_us before
+# mode, which reads it); each is a scenario key and a --flag.
+GRID_KEYS = {
+    "topology": _Key("us", help="file path, or builtin 'us' / 'abilene'"),
+    "slots": _Key(128, int, check=_at_least(1), help="frequency slots per link"),
+    "max_dd_us": _Key(M_US_PT1, float, check=_at_least(0),
+                      help="differential-delay bound for mode 'pt', in microseconds"),
+    "mode": _Key("pt1", listed=True, help="comma list of st|pt|pt1|pt2"),
+    "k": _Key("30", int, True, _at_least(1), "max fiber-level paths (comma list)"),
+    "gb": _Key("0", int, True, _at_least(0), "guard-band slots (comma list)"),
+    "tr": _Key("10", listed=True, command="simulate",
+               help="demand slots: fixed '10' or range '1-4' (comma list)"),
+    "load": _Key("75", float, True, _POSITIVE, "Erlang loads (comma list)"),
+    "seeds": _Key("0..4", help="'N' for 0..N-1, 'a..b', or comma list"),
+    "requests": _Key(20000, int, check=_at_least(1), help="connection requests per run"),
+    "warmup": _Key(0.1, float, check=(lambda v: 0 <= v < 1, "0 <= warmup < 1"),
+                   help="warm-up fraction excluded from metrics"),
+    "dispersion": _Key(17.0, float, check=_POSITIVE, help="fiber dispersion ps/nm/km"),
+    "fc_thz": _Key(193.1, float, check=_POSITIVE, help="central frequency in THz"),
+    "slot_ghz": _Key(50.0, float, check=_at_least(0), help="frequency slot width in GHz"),
+    "speed_kms": _Key(2.0e5, float, check=_POSITIVE,
+                      help="propagation speed in km/s, which sets every arc's delay"),
+    "jobs": _Key(1, int, check=_at_least(1), help="concurrent grid cells"),
+    "out": _Key(None, help="output directory (or FLEXRSA_OUT env)"),
+    "bg_tr": _Key("1-4", command="probe", help="background demand, e.g. '1-4'"),
+    "probe_tr": _Key("4-6", command="probe", help="probe demand, e.g. '4-6'"),
+    "probes": _Key(50, int, check=(lambda v: v >= 1, "a probe count >= 1"), command="probe",
+                   help="probes per run"),
+    "spacing": _Key(25, int, check=_at_least(1), command="probe",
+                    help="background arrivals between probes"),
 }
 
 
@@ -115,10 +142,10 @@ def _parse_list(key: str, token, cast=str) -> list:
     return [_cast(key, t.strip(), cast) for t in str(token).split(",") if t.strip()]
 
 
-def _parse_modes(token: str, max_dd_us: float) -> list[tuple[str, str, float]]:
+def _parse_modes(tokens: list[str], max_dd_us: float) -> list[tuple[str, str, float]]:
     """Each token becomes (label, engine mode, differential-delay bound in us)."""
     out = []
-    for tok in _parse_list("mode", token):
+    for tok in tokens:
         if tok == "st":
             out.append(("st", "st", max_dd_us))
         elif tok == "pt":
@@ -146,17 +173,10 @@ def load_scenario(path: str) -> dict:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path!r}: {exc}") from exc
-    unknown = set(values) - set(_DEFAULTS)
+    unknown = set(values) - set(GRID_KEYS)
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     return values
-
-
-def _merged(args: argparse.Namespace, scenario: dict, key: str, cast=None):
-    value = getattr(args, key, None)
-    if value is None:
-        value = scenario.get(key, _DEFAULTS[key])
-    return _cast(key, value, cast) if cast else value
 
 
 def _fiber(cfg: dict) -> FiberParams:
@@ -192,53 +212,39 @@ def _check(limits) -> None:
 
 
 def _common_grid_config(args: argparse.Namespace) -> dict:
-    scenario = load_scenario(args.scenario) if getattr(args, "scenario", None) else {}
+    """Every key the command reads: its flag, else its scenario value, else its default.
+
+    Each value is cast and range-checked by its ``GRID_KEYS`` row; the keys
+    with their own parsers (``mode``, ``seeds`` and the demands) are read
+    after.  Every list in the result is a grid axis and must not be empty.
+    """
+    scenario = load_scenario(args.scenario) if args.scenario else {}
     cfg = {}
-    cfg["topology"] = _merged(args, scenario, "topology")
-    cfg["max_dd_us"] = _merged(args, scenario, "max_dd_us", float)
-    cfg["modes"] = _parse_modes(_merged(args, scenario, "mode"), cfg["max_dd_us"])
-    cfg["ks"] = _parse_list("k", _merged(args, scenario, "k"), int)
-    cfg["gbs"] = _parse_list("gb", _merged(args, scenario, "gb"), int)
-    cfg["loads"] = _parse_list("load", _merged(args, scenario, "load"), float)
-    cfg["seeds"] = _parse_seeds(_merged(args, scenario, "seeds"))
-    for key in ("slots", "requests", "jobs", "probes", "spacing"):
-        cfg[key] = _merged(args, scenario, key, int)
-    for key in ("warmup", "arrival_rate", "dispersion", "fc_thz", "slot_ghz", "speed_kms"):
-        cfg[key] = _merged(args, scenario, key, float)
-    limits = [
-        ("load", cfg["loads"], lambda v: v > 0, "> 0"),
-        ("arrival_rate", [cfg["arrival_rate"]], lambda v: v > 0, "> 0"),
-        ("speed_kms", [cfg["speed_kms"]], lambda v: v > 0, "> 0"),
-        ("max_dd_us", [cfg["max_dd_us"]], lambda v: v >= 0, ">= 0"),
-        ("k", cfg["ks"], lambda v: v >= 1, ">= 1"),
-        ("gb", cfg["gbs"], lambda v: v >= 0, ">= 0"),
-        ("slots", [cfg["slots"]], lambda v: v >= 1, ">= 1"),
-        ("dispersion", [cfg["dispersion"]], lambda v: v > 0, "> 0"),
-        ("fc_thz", [cfg["fc_thz"]], lambda v: v > 0, "> 0"),
-        ("slot_ghz", [cfg["slot_ghz"]], lambda v: v >= 0, ">= 0"),
-        ("warmup", [cfg["warmup"]], lambda v: 0 <= v < 1, "0 <= warmup < 1"),
-        ("requests", [cfg["requests"]], lambda v: v >= 1, ">= 1"),
-        ("jobs", [cfg["jobs"]], lambda v: v >= 1, ">= 1"),
-    ]
-    if args.command == "probe":
-        limits.append(("probes", [cfg["probes"]], lambda v: v >= 1, "a probe count >= 1"))
-        limits.append(("spacing", [cfg["spacing"]], lambda v: v >= 1, ">= 1"))
-    _check(limits)
-    cfg["out"] = _merged(args, scenario, "out")
+    for key, row in GRID_KEYS.items():
+        if row.command not in (None, args.command):
+            continue
+        value = getattr(args, key)
+        if value is None:
+            value = scenario.get(key, row.default)
+        if row.listed:
+            value = _parse_list(key, value, row.cast or str)
+        elif row.cast:
+            value = _cast(key, value, row.cast)
+        if row.check:
+            _check([(key, value if row.listed else [value], *row.check)])
+        cfg[key] = value
+    cfg["mode"] = _parse_modes(cfg["mode"], cfg["max_dd_us"])
+    cfg["seeds"] = _parse_seeds(cfg["seeds"])
     if args.command == "probe":
         # the grid's demand axis is the background; probes draw from probe_tr
-        cfg["trs"] = [_parse_tr("bg_tr", _merged(args, scenario, "bg_tr"))]
-        probe_tr = _parse_tr("probe_tr", _merged(args, scenario, "probe_tr"))
+        cfg["bg_tr"] = [_parse_tr("bg_tr", cfg["bg_tr"])]
+        probe_tr = _parse_tr("probe_tr", cfg["probe_tr"])
         cfg["probe_tr"] = (probe_tr, probe_tr) if isinstance(probe_tr, int) else probe_tr
-        demands = cfg["trs"] + [cfg["probe_tr"]]
+        demands = cfg["bg_tr"] + [cfg["probe_tr"]]
     else:
-        trs = _parse_list("tr", _merged(args, scenario, "tr"))
-        cfg["trs"] = [_parse_tr("tr", t) for t in trs]
-        demands = cfg["trs"]
-    axes = {"modes": "mode", "ks": "k", "gbs": "gb", "trs": "tr",
-            "loads": "load", "seeds": "seeds"}
-    for axis, key in axes.items():
-        if not cfg[axis]:
+        cfg["tr"] = demands = [_parse_tr("tr", t) for t in cfg["tr"]]
+    for key, value in cfg.items():
+        if value == []:
             raise ConfigError(f"empty grid: {key} gives no values")
     for tr in demands:
         if _tr_max(tr) > cfg["slots"]:
@@ -258,11 +264,11 @@ def _grid_net(cfg: dict) -> Network:
 def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
     """One cell per (mode, k, gb, tr, load, seed), nested in that order.
 
-    ``demand`` names the cell's demand column, as in the command's output key.
-    A cell's ``traffic`` is the offered traffic it simulates at that demand.
+    ``demand`` names the cell's demand column, as in the command's output key,
+    and its axis in ``cfg``.  A cell's ``traffic`` is the offered traffic it
+    simulates at that demand.
     """
     fiber = _fiber(cfg)
-    rate = cfg["arrival_rate"]
     return [
         {
             "fiber": fiber,
@@ -275,20 +281,19 @@ def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
             "load": load,
             "seed": seed,
             "traffic": sim.TrafficConfig(
-                mean_holding=load / rate,
+                mean_holding=load,
                 requests=cfg["requests"],
                 seed=seed,
-                arrival_rate=rate,
                 demand=tr,
                 warmup_frac=cfg["warmup"],
             ),
             **extra,
         }
-        for label, mode, m_us in cfg["modes"]
-        for k in cfg["ks"]
-        for gb in cfg["gbs"]
-        for tr in cfg["trs"]
-        for load in cfg["loads"]
+        for label, mode, m_us in cfg["mode"]
+        for k in cfg["k"]
+        for gb in cfg["gb"]
+        for tr in cfg[demand]
+        for load in cfg["load"]
         for seed in cfg["seeds"]
     ]
 
@@ -501,26 +506,13 @@ def cmd_topo_info(args) -> int:
     return 0
 
 
-def _add_grid_flags(p: argparse.ArgumentParser):
+def _add_grid_flags(p: argparse.ArgumentParser, command: str):
+    """``--scenario`` and one flag per ``GRID_KEYS`` row the command reads."""
     p.add_argument("--scenario", help="scenario file (key = value lines)")
-    p.add_argument("--topology", help="file path, or builtin 'us' / 'abilene'")
-    p.add_argument("--slots", type=int, help="frequency slots per link")
-    p.add_argument("--mode", help="comma list of st|pt|pt1|pt2")
-    p.add_argument("--k", help="max fiber-level paths (comma list)")
-    p.add_argument("--gb", help="guard-band slots (comma list)")
-    p.add_argument("--load", help="Erlang loads (comma list)")
-    p.add_argument("--seeds", help="'N' for 0..N-1, 'a..b', or comma list")
-    p.add_argument("--requests", type=int, help="connection requests per run")
-    p.add_argument("--warmup", type=float, help="warm-up fraction excluded from metrics")
-    p.add_argument("--arrival-rate", dest="arrival_rate", type=float)
-    p.add_argument("--max-dd-us", dest="max_dd_us", type=float,
-                   help="differential-delay bound for mode 'pt', in microseconds")
-    p.add_argument("--dispersion", type=float, help="fiber dispersion ps/nm/km")
-    p.add_argument("--fc-thz", dest="fc_thz", type=float)
-    p.add_argument("--slot-ghz", dest="slot_ghz", type=float)
-    p.add_argument("--speed-kms", dest="speed_kms", type=float)
-    p.add_argument("--jobs", type=int, help="concurrent grid cells")
-    p.add_argument("--out", help="output directory (or FLEXRSA_OUT env)")
+    for key, row in GRID_KEYS.items():
+        if row.command in (None, command):
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           type=None if row.listed else row.cast, help=row.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,20 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run a simulation grid and write CSV metrics")
-    _add_grid_flags(p)
-    p.add_argument("--tr", help="demand slots: fixed '10' or range '1-4' (comma list)")
+    _add_grid_flags(p, "simulate")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("probe", help="probe admissibility against a live background")
-    _add_grid_flags(p)
-    p.add_argument("--bg-tr", dest="bg_tr", help="background demand, e.g. '1-4'")
-    p.add_argument("--probe-tr", dest="probe_tr", help="probe demand, e.g. '4-6'")
-    p.add_argument("--probes", type=int, help="probes per run")
-    p.add_argument("--spacing", type=int, help="background arrivals between probes")
+    _add_grid_flags(p, "probe")
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("export-ilp", help="build one request model and export LP text")
-    p.add_argument("--topology", default=_DEFAULTS["topology"])
+    p.add_argument("--topology", default=GRID_KEYS["topology"].default)
     p.add_argument("--slots", type=int, default=16)
     p.add_argument("--paths", type=int, default=4, help="candidate paths |P|")
     p.add_argument("--gb", type=int, default=0)
@@ -563,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle_check)
 
     p = sub.add_parser("topo-info", help="show topology facts")
-    p.add_argument("--topology", default=_DEFAULTS["topology"])
-    p.add_argument("--slots", type=int, default=_DEFAULTS["slots"])
+    p.add_argument("--topology", default=GRID_KEYS["topology"].default)
+    p.add_argument("--slots", type=int, default=GRID_KEYS["slots"].default)
     p.set_defaults(fn=cmd_topo_info)
 
     return parser

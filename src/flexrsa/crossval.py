@@ -87,8 +87,9 @@ def _band_cost(solution) -> int:
     return sum(p.range.length * len(p.arcs) for p in solution.paths)
 
 
-def _check_via_ilp(inst: Instance, routes, bands) -> list[tuple[str, int]]:
-    model = ilp.build_model(
+def _model(inst: Instance, routes) -> ilp.ConstraintSystem:
+    """The instance's constraint system over ``routes``, one path slot per route."""
+    return ilp.build_model(
         inst.net,
         inst.source,
         inst.destination,
@@ -99,6 +100,10 @@ def _check_via_ilp(inst: Instance, routes, bands) -> list[tuple[str, int]]:
         max_dd_ps=inst.max_dd_ps,
         occupied=inst.state.occupied_by_arc(),
     )
+
+
+def _check_via_ilp(inst: Instance, routes, bands) -> list[tuple[str, int]]:
+    model = _model(inst, routes)
     assignment = ilp.assignment_from_bands(model, bands)
     return ilp.check_assignment(model, assignment)
 
@@ -155,17 +160,7 @@ def _checker_oracle_agreement(inst: Instance, rng: random.Random, samples: int =
         return []
     slots = inst.net.slots_per_link
     occupied = inst.state.occupied_by_arc()
-    model = ilp.build_model(
-        inst.net,
-        inst.source,
-        inst.destination,
-        inst.demand,
-        routes,
-        slots=slots,
-        gb=inst.gb,
-        max_dd_ps=inst.max_dd_ps,
-        occupied=occupied,
-    )
+    model = _model(inst, routes)
     failures = []
     for _ in range(samples):
         bands: list[SlotRange | None] = []

@@ -91,13 +91,28 @@ class Constraint(NamedTuple):
     rhs: int | Fraction
 
 
+class PathSlot(NamedTuple):
+    """One candidate path slot: its route and the names of its variables."""
+
+    arcs: tuple[int, ...]  # arc ids, in route order
+    delay_ps: int
+    length_km: float
+    x: str
+    t: str
+    pd: str
+    gvd: str
+    y: list[str]  # per frequency slot
+    xe: dict[int, str]  # per model arc
+    xei: dict[int, list[str]]  # per model arc, per frequency slot
+    z: dict[int, str]  # per route arc
+
+
 @dataclass(frozen=True)
 class ModelMeta:
-    """Instance data needed to translate band solutions into assignments."""
+    """What ``assignment_from_bands`` needs: the names ``build_model`` made, and the routes."""
 
-    paths: tuple[tuple[int, ...], ...]  # arc ids per candidate path
-    arc_delay: Mapping[int, int]
-    arc_length: Mapping[int, float]
+    paths: tuple[PathSlot, ...]
+    pairs: tuple[tuple[int, int, str, tuple[str, ...]], ...]  # (p, q, o name, g name per shared arc)
     slots: int
     fiber: FiberParams | None
     demand: int
@@ -371,9 +386,12 @@ def build_model(
     constraints = [con for family in FAMILIES for con in rows[family]]
     objective = tuple((n, 1) for p in paths for e in e_used for n in xei[p][e])
     meta = ModelMeta(
-        paths=tuple(route_ids),
-        arc_delay={e: arc_by_id[e].delay_ps for e in e_used},
-        arc_length={e: arc_by_id[e].length_km for e in e_used},
+        paths=tuple(
+            PathSlot(route_ids[p], route_delay[p], route_len[p], x[p], t[p], pd[p], gv[p],
+                     y[p], xe[p], xei[p], z[p])
+            for p in paths
+        ),
+        pairs=tuple((p, q, o[p, q], tuple(g[p, q, e] for e in shared[p, q])) for p, q in pairs),
         slots=slots,
         fiber=fiber_params,
         demand=demand,
@@ -428,49 +446,41 @@ def assignment_from_bands(
 ) -> dict[str, int]:
     """Full variable assignment for one band (or None) per candidate path slot.
 
-    Derived variables follow the model's own defining equalities: pd and T
-    from the route, gvd from the physics rounding (0 for a model built
-    without ``FiberParams``), o/gamma/z from the products they linearize.
+    Every variable starts at 0, and the used path slots fill in the names
+    ``build_model`` made.  Derived variables follow the model's own defining
+    equalities: pd and T from the route, gvd from the physics rounding (0 for
+    a model built without ``FiberParams``), o/gamma/z from the products they
+    linearize.  Slots of a band outside the spectrum stay 0.
     """
     meta = model.meta
     if meta is None:
         raise ModelError("model has no instance metadata")
     if len(bands) != len(meta.paths):
         raise ModelError(f"expected {len(meta.paths)} band entries, got {len(bands)}")
-    npaths = len(meta.paths)
-    e_used = sorted({e for ids in meta.paths for e in ids})
-    a: dict[str, int] = {}
-    used = [band is not None for band in bands]
-    route_sets = [set(ids) for ids in meta.paths]
-
-    for p, band in enumerate(bands):
-        a[f"x_p{p + 1}"] = int(used[p])
-        slots_of = set(range(band.start, band.start + band.length)) if band else set()
-        for i in range(meta.slots):
-            a[f"y_p{p + 1}_f{i}"] = int(i in slots_of)
-        for e in e_used:
-            on = used[p] and e in route_sets[p]
-            a[f"xe_p{p + 1}_e{e}"] = int(on)
-            for i in range(meta.slots):
-                a[f"xei_p{p + 1}_e{e}_f{i}"] = int(on and i in slots_of)
-        t = band.length if band else 0
-        a[f"T_p{p + 1}"] = t
-        a[f"pd_p{p + 1}"] = sum(meta.arc_delay[e] for e in meta.paths[p]) if used[p] else 0
-        if t and meta.fiber is not None:
-            length = sum(meta.arc_length[e] for e in meta.paths[p])
-            a[f"gvd_p{p + 1}"] = gvd_differential_delay_ps(meta.fiber, t, length)
-        else:
-            a[f"gvd_p{p + 1}"] = 0
-        for e in meta.paths[p]:
-            a[f"z_p{p + 1}_e{e}"] = t if used[p] else 0
-
-    for p in range(npaths):
-        for q in range(p + 1, npaths):
-            both = used[p] and used[q]
-            shares = route_sets[p] & route_sets[q]
-            a[f"o_p{p + 1}_p{q + 1}"] = int(both and bool(shares))
-            for e in sorted(shares):
-                a[f"g_p{p + 1}_p{q + 1}_e{e}"] = int(both)
+    a = dict.fromkeys(model.variables, 0)
+    for path, band in zip(meta.paths, bands):
+        if band is None:
+            continue
+        size = band.length
+        filled = range(max(band.start, 0), min(band.start + size, meta.slots))
+        a[path.x] = 1
+        a[path.t] = size
+        a[path.pd] = path.delay_ps
+        if size and meta.fiber is not None:
+            a[path.gvd] = gvd_differential_delay_ps(meta.fiber, size, path.length_km)
+        for i in filled:
+            a[path.y[i]] = 1
+        for e in path.arcs:
+            a[path.xe[e]] = 1
+            a[path.z[e]] = size
+            names = path.xei[e]
+            for i in filled:
+                a[names[i]] = 1
+    for p, q, o, g in meta.pairs:
+        if g and bands[p] is not None and bands[q] is not None:
+            a[o] = 1
+            for n in g:
+                a[n] = 1
     return a
 
 

@@ -11,8 +11,9 @@ arrival its last probe follows, and reads the same background as a run of
 all ``requests``.  The network keeps the last draw (``Network.draw_memo``),
 so grid cells that share a traffic draw it once.
 
-Every time unit of mean inter-arrival at rate u with mean holding h offers
-u*h Erlang of load; the CLI keeps u = 1 and varies h.
+Arrivals come at rate 1 per time unit, so a mean holding time of h offers
+h Erlang.  A rate u would only rescale time: a Poisson/exponential loss
+system depends on the offered load u*h alone.
 
 Grid outputs share one key per cell: ``SIM_KEY`` for ``run`` cells and
 ``PROBE_KEY`` for ``probe_run`` cells.  The CSV writers print the key and the
@@ -42,19 +43,18 @@ class SimError(Exception):
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    """Offered-traffic description; load in Erlang is arrival_rate*mean_holding."""
+    """Offered traffic: unit-rate arrivals, so ``mean_holding`` is the load in Erlang."""
 
     mean_holding: float
     requests: int
     seed: int
-    arrival_rate: float = 1.0
     demand: int | tuple[int, int] = 1
     warmup_frac: float = 0.1
     sd_pairs: tuple[tuple[str, str], ...] | None = None
 
     def __post_init__(self):
-        if self.arrival_rate <= 0 or self.mean_holding <= 0:
-            raise ValueError("arrival_rate and mean_holding must be positive")
+        if self.mean_holding <= 0:
+            raise ValueError("mean_holding must be positive")
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
         if not (0 <= self.warmup_frac < 1):
@@ -70,10 +70,6 @@ class TrafficConfig:
                 if src == dst:
                     raise ValueError(f"sd_pairs has a self-pair at {src!r}")
             object.__setattr__(self, "sd_pairs", pairs)  # a tuple, so the config hashes
-
-    @property
-    def load_erlang(self) -> float:
-        return self.arrival_rate * self.mean_holding
 
 
 @dataclass
@@ -141,7 +137,7 @@ def _draw(net: Network, traffic: TrafficConfig, count: int | None = None) -> tup
     out: list[Request] = []
     t = 0.0
     for _ in range(traffic.requests if count is None else count):
-        t += arrivals.expovariate(traffic.arrival_rate)
+        t += arrivals.expovariate(1.0)
         src, dst = pairs[pairs_rng.randrange(len(pairs))]
         if fixed:
             tr = traffic.demand

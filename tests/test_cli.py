@@ -144,8 +144,6 @@ class TestSimulate:
             (["--load", "-5"], "load", "-5"),
             (["--load", "0"], "load", "0"),
             (["--load", "10,0"], "load", "0"),
-            (["--arrival-rate", "0"], "arrival_rate", "0"),
-            (["--arrival-rate", "nan"], "arrival_rate", "nan"),
             (["--speed-kms", "0"], "speed_kms", "0"),
             (["--speed-kms", "inf"], "speed_kms", "inf"),
             (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
@@ -158,6 +156,12 @@ class TestSimulate:
             (["--fc-thz", "0"], "fc_thz", "0"),
             (["--slot-ghz", "-1"], "slot_ghz", "-1"),
         ],
+        # explicit ids: a case keeps its id when another case is added or dropped
+        ids=["flags0-load--5", "flags1-load-0", "flags2-load-0", "flags5-speed_kms-0",
+             "flags6-speed_kms-inf", "flags7-max_dd_us-nan", "flags8-max_dd_us--1",
+             "flags9-warmup-1.5", "flags10-warmup-1", "flags11-warmup--0.1",
+             "flags12-dispersion--17", "flags13-dispersion-0", "flags14-fc_thz-0",
+             "flags15-slot_ghz--1"],
     )
     def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
         rc = main(
@@ -172,7 +176,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("load", "-5"), ("arrival_rate", "0"), ("speed_kms", "0"), ("max_dd_us", "-1"),
+        [("load", "-5"), ("speed_kms", "0"), ("max_dd_us", "-1"),
          ("warmup", "1.5"), ("dispersion", "-17"), ("fc_thz", "0"), ("slot_ghz", "-50")],
     )
     def test_out_of_range_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
@@ -601,14 +605,15 @@ class TestProbeCommand:
         "flags, key, value",
         [
             (["--load", "-5"], "load", "-5"),
-            (["--arrival-rate", "0"], "arrival_rate", "0"),
-            (["--arrival-rate", "nan"], "arrival_rate", "nan"),
             (["--speed-kms", "0"], "speed_kms", "0"),
             (["--mode", "pt", "--max-dd-us", "nan"], "max_dd_us", "nan"),
             (["--warmup", "1.5"], "warmup", "1.5"),
             (["--dispersion", "-17"], "dispersion", "-17"),
             (["--fc-thz", "0"], "fc_thz", "0"),
         ],
+        # explicit ids: a case keeps its id when another case is added or dropped
+        ids=["flags0-load--5", "flags3-speed_kms-0", "flags4-max_dd_us-nan", "flags5-warmup-1.5",
+             "flags6-dispersion--17", "flags7-fc_thz-0"],
     )
     def test_out_of_range_number_rejected(self, tmp_path, capsys, flags, key, value):
         rc = main(
@@ -692,6 +697,51 @@ class TestProbeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "empty grid: seeds gives no values" in err
         assert not (tmp_path / "p" / "probe.csv").exists()
+
+
+class TestGridKeys:
+    """Every simulate/probe key is one ``cli.GRID_KEYS`` row: its flag and its scenario line agree."""
+
+    # a valid value other than the default, per key
+    SAMPLE = {
+        "topology": "abilene", "slots": "64", "max_dd_us": "300", "mode": "st,pt2",
+        "k": "2,5", "gb": "1,2", "tr": "1-3,4", "load": "12.5,30", "seeds": "1..3",
+        "requests": "77", "warmup": "0.25", "dispersion": "16", "fc_thz": "194",
+        "slot_ghz": "12.5", "speed_kms": "190000", "jobs": "3", "out": "elsewhere",
+        "bg_tr": "2-3", "probe_tr": "3", "probes": "7", "spacing": "9",
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "probe"])
+    def test_flag_and_scenario_line_give_the_same_config(self, tmp_path, command):
+        assert set(self.SAMPLE) == set(cli.GRID_KEYS)
+        parser = cli.build_parser()
+        default = cli._common_grid_config(parser.parse_args([command]))
+        keys = [k for k, row in cli.GRID_KEYS.items() if row.command in (None, command)]
+        assert set(keys) <= set(default)
+        for key in keys:
+            value = self.SAMPLE[key]
+            flag = "--" + key.replace("_", "-")
+            from_flag = cli._common_grid_config(parser.parse_args([command, flag, value]))
+            scn = tmp_path / f"{key}.scn"
+            scn.write_text(f"{key} = {value}\n")
+            from_scenario = cli._common_grid_config(
+                parser.parse_args([command, "--scenario", str(scn)])
+            )
+            assert from_flag == from_scenario, key
+            assert from_flag[key] != default[key], key
+
+    @pytest.mark.parametrize("command", ["simulate", "probe"])
+    def test_arrival_rate_is_gone(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--arrival-rate", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --arrival-rate" in capsys.readouterr().err
+        scn = tmp_path / "s.scn"
+        scn.write_text("arrival_rate = 1\n")
+        assert main([command, "--scenario", str(scn), "--out", str(out)]) == 2
+        assert "unknown scenario keys: ['arrival_rate']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExportIlp:

@@ -12,7 +12,14 @@ from flexrsa.physics import FiberParams
 from flexrsa.spectrum import SlotRange, SpectrumState
 from flexrsa.topology import load_topology
 
-from util import circulant_15_text, make_net, milp_solve, paint, reference_check_assignment
+from util import (
+    circulant_15_text,
+    make_net,
+    milp_solve,
+    paint,
+    reference_assignment_from_bands,
+    reference_check_assignment,
+)
 
 def shared_path_model(npaths=2, slots=8, gb=0, occupied=None, demand=2, fiber=None):
     """npaths candidate slots over one and the same 3-arc route."""
@@ -372,8 +379,8 @@ M_250US_PS = 250_000_000
 
 
 @pytest.fixture(scope="module")
-def golden_models():
-    """Two 15-node-ring pairs and 20 US requests over a served background.
+def golden_cases():
+    """(model, routes): two 15-node-ring pairs and 20 US requests over a served background.
 
     |F|=12, |P|=3, GB=1 and M=250 us, with real dispersion: every row family
     appears, the gvd rows carry non-integer coefficients, and the guard-band
@@ -382,13 +389,14 @@ def golden_models():
     slots, paths = 12, 3
     fiber = FiberParams()
     ring = load_topology(circulant_15_text(), slots_per_link=slots)
-    models = [
-        ilp.build_model(
-            ring, "v00", dst, 4, compute_fiber_paths(ring, "v00", dst, paths),
+    cases = []
+    for dst in ("v03", "v07"):
+        routes = compute_fiber_paths(ring, "v00", dst, paths)
+        model = ilp.build_model(
+            ring, "v00", dst, 4, routes,
             slots=slots, gb=1, max_dd_ps=M_250US_PS, fiber_params=fiber,
         )
-        for dst in ("v03", "v07")
-    ]
+        cases.append((model, routes))
     us = load_topology(
         resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text(),
         slots_per_link=slots,
@@ -402,14 +410,19 @@ def golden_models():
         heuristic.serve(state, us, Request(src, dst, rng.randint(1, 4)), background)
     occupied = state.occupied_by_arc()
     for src, dst in rng.sample(pairs, 20):
-        models.append(
-            ilp.build_model(
-                us, src, dst, rng.randint(1, 4), compute_fiber_paths(us, src, dst, paths),
-                slots=slots, gb=1, max_dd_ps=M_250US_PS, fiber_params=fiber,
-                occupied=occupied,
-            )
+        routes = compute_fiber_paths(us, src, dst, paths)
+        model = ilp.build_model(
+            us, src, dst, rng.randint(1, 4), routes,
+            slots=slots, gb=1, max_dd_ps=M_250US_PS, fiber_params=fiber,
+            occupied=occupied,
         )
-    return models
+        cases.append((model, routes))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def golden_models(golden_cases):
+    return [model for model, _ in golden_cases]
 
 
 class TestGoldenExport:
@@ -509,6 +522,18 @@ class TestRoundTripOrder:
             ilp.parse_lp(text)
 
 
+def _random_bands(model, rng, count):
+    """``count`` band lists: per path slot, a band of 1-3 slots or (40%) none."""
+    slots = model.meta.slots
+    for _ in range(count):
+        bands = []
+        for _ in model.meta.paths:
+            length = rng.randint(1, 3)
+            band = SlotRange(rng.randrange(slots - length + 1), length)
+            bands.append(None if rng.random() < 0.4 else band)
+        yield bands
+
+
 def _perturbed_assignments(model, rng, count):
     """Assignments from random bands, with a few variables then moved.
 
@@ -518,13 +543,7 @@ def _perturbed_assignments(model, rng, count):
     """
     names = list(model.variables)
     skews = [n for n in names if n.startswith("gvd_")]
-    slots = model.meta.slots
-    for _ in range(count):
-        bands = []
-        for _ in model.meta.paths:
-            length = rng.randint(1, 3)
-            band = SlotRange(rng.randrange(slots - length + 1), length)
-            bands.append(None if rng.random() < 0.4 else band)
+    for bands in _random_bands(model, rng, count):
         a = ilp.assignment_from_bands(model, bands)
         for name in rng.sample(names, rng.randint(0, 3)):
             decl = model.variables[name]
@@ -567,3 +586,43 @@ class TestCheckMatchesReference:
                 assert bad == reference_check_assignment(model, a)
                 seen.update(family for family, _ in bad)
         assert self.BROKEN <= seen
+
+
+def _edge_bands(model):
+    """No band at all, and on every path slot a band that runs past the spectrum."""
+    paths = len(model.meta.paths)
+    yield [None] * paths
+    yield [SlotRange(model.meta.slots - 1, 2)] * paths
+
+
+class TestAssignmentMatchesReference:
+    """``assignment_from_bands`` fills the model's own names; the reference formats them anew."""
+
+    def test_golden_models(self, golden_cases):
+        rng = random.Random(19)
+        for model, routes in golden_cases:
+            for bands in [*_random_bands(model, rng, 8), *_edge_bands(model)]:
+                assert ilp.assignment_from_bands(model, bands) == (
+                    reference_assignment_from_bands(model, routes, bands)
+                )
+
+    @pytest.mark.parametrize("fiber", [None, FiberParams()], ids=["no-fiber", "fiber"])
+    def test_crossval_models(self, fiber):
+        rng = random.Random(20)
+        checked = 0
+        for _ in range(40):
+            inst = crossval.random_instance(rng)
+            routes = oracle.enumerate_routes(inst.net, inst.source, inst.destination, 3)
+            if not routes:
+                continue
+            model = ilp.build_model(
+                inst.net, inst.source, inst.destination, inst.demand, routes,
+                slots=inst.net.slots_per_link, gb=inst.gb, max_dd_ps=inst.max_dd_ps,
+                fiber_params=fiber, occupied=inst.state.occupied_by_arc(),
+            )
+            for bands in [*_random_bands(model, rng, 6), *_edge_bands(model)]:
+                assert ilp.assignment_from_bands(model, bands) == (
+                    reference_assignment_from_bands(model, routes, bands)
+                )
+                checked += 1
+        assert checked > 100

@@ -9,6 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from flexrsa import sim
 from flexrsa.heuristic import MODE_PARALLEL, Request, Solution, assign_spectrum, cached_fiber_paths
+from flexrsa.physics import gvd_differential_delay_ps
 from flexrsa.spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
 from flexrsa.topology import Network, load_topology
 
@@ -199,6 +200,55 @@ def reference_check_assignment(model, assignment) -> list[tuple[str, int]]:
         if not holds:
             violations.append((con.family, idx))
     return violations
+
+
+def reference_assignment_from_bands(model, routes, bands) -> dict[str, int]:
+    """The translation that ``ilp.assignment_from_bands`` replaced.
+
+    It formats every variable name anew and derives the model's arcs, each
+    route's delay and length and the shared arcs from ``routes``, the
+    candidate paths the model was built over; the translation that fills in
+    the model's own names must return an equal dict.
+    """
+    meta = model.meta
+    arcs_of = [tuple(getattr(route, "arcs", route)) for route in routes]
+    paths = [tuple(a.id for a in arcs) for arcs in arcs_of]
+    arc_by_id = {a.id: a for arcs in arcs_of for a in arcs}
+    npaths = len(paths)
+    e_used = sorted(arc_by_id)
+    a: dict[str, int] = {}
+    used = [band is not None for band in bands]
+    route_sets = [set(ids) for ids in paths]
+
+    for p, band in enumerate(bands):
+        a[f"x_p{p + 1}"] = int(used[p])
+        slots_of = set(range(band.start, band.start + band.length)) if band else set()
+        for i in range(meta.slots):
+            a[f"y_p{p + 1}_f{i}"] = int(i in slots_of)
+        for e in e_used:
+            on = used[p] and e in route_sets[p]
+            a[f"xe_p{p + 1}_e{e}"] = int(on)
+            for i in range(meta.slots):
+                a[f"xei_p{p + 1}_e{e}_f{i}"] = int(on and i in slots_of)
+        t = band.length if band else 0
+        a[f"T_p{p + 1}"] = t
+        a[f"pd_p{p + 1}"] = sum(arc_by_id[e].delay_ps for e in paths[p]) if used[p] else 0
+        if t and meta.fiber is not None:
+            length = sum(arc_by_id[e].length_km for e in paths[p])
+            a[f"gvd_p{p + 1}"] = gvd_differential_delay_ps(meta.fiber, t, length)
+        else:
+            a[f"gvd_p{p + 1}"] = 0
+        for e in paths[p]:
+            a[f"z_p{p + 1}_e{e}"] = t if used[p] else 0
+
+    for p in range(npaths):
+        for q in range(p + 1, npaths):
+            both = used[p] and used[q]
+            shares = route_sets[p] & route_sets[q]
+            a[f"o_p{p + 1}_p{q + 1}"] = int(both and bool(shares))
+            for e in sorted(shares):
+                a[f"g_p{p + 1}_p{q + 1}_e{e}"] = int(both)
+    return a
 
 
 def reference_probe_run(net, traffic, policy, fiber_params=None, *, probe_demand, probes, spacing=25):
