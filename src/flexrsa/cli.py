@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -356,6 +355,8 @@ def _run_grid(net: Network, cells: list[dict], worker, jobs: int) -> list:
         order = sorted(range(len(cells)), key=lambda i: (group[cells[i]["traffic"]], -cells[i]["k"]))
         results = [worker(net, cells[i]) for i in order]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         order = sorted(range(len(cells)), key=lambda i: -cells[i]["k"])
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(cells)), initializer=_set_pool_net, initargs=(net,)
@@ -507,12 +508,15 @@ def cmd_topo_info(args) -> int:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser, command: str):
-    """``--scenario`` and one flag per ``GRID_KEYS`` row the command reads."""
+    """``--scenario`` and one flag per ``GRID_KEYS`` row the command reads.
+
+    Every flag is read as text and cast by ``_common_grid_config``, as a
+    scenario value is, so a bad value gets the same message either way.
+    """
     p.add_argument("--scenario", help="scenario file (key = value lines)")
     for key, row in GRID_KEYS.items():
         if row.command in (None, command):
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           type=None if row.listed else row.cast, help=row.help)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=row.help)
 
 
 def build_parser() -> argparse.ArgumentParser:

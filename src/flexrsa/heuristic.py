@@ -250,10 +250,6 @@ def cached_fiber_paths(
     return routes
 
 
-def _largest(blocks: list[SlotRange]) -> SlotRange:
-    return max(blocks, key=lambda b: (b.length, -b.start))
-
-
 def assign_spectrum(
     state: SpectrumState,
     routes: Sequence[Route],
@@ -279,9 +275,12 @@ def assign_spectrum(
         )
     if hit is not None:
         route = routes[hit]
-        best = _largest(runs(masks[-1][1]))  # the hit's mask comes last
-        band = SpectrumPath(route.arcs, SlotRange(best.start, demand), route.delay_ps)
-        return Solution((band,))
+        # the largest run, the lowest start among equals (runs come by start)
+        best_start = best = 0
+        for start, length in runs(masks[-1][1]):  # the hit's mask comes last
+            if length > best:
+                best_start, best = start, length
+        return Solution((SpectrumPath(route.arcs, SlotRange(best_start, demand), route.delay_ps),))
     if policy.mode != MODE_PARALLEL or not masks:
         return None
 
@@ -299,16 +298,18 @@ def assign_spectrum(
             break
         # within one delay, start then rank (no two fragments share both)
         candidates = sorted(
-            (block.start, rank, block) for _delay, rank, free in group for block in runs(free)
+            (start, rank, length) for _delay, rank, free in group for start, length in runs(free)
         )
-        for start, rank, block in candidates:
+        for start, rank, length in candidates:
             route = routes[rank]
             arc_mask = route.arc_mask
-            take = min(block.length, demand - total)
+            take = demand - total
+            if length < take:
+                take = length
             band = ((1 << take) - 1) << start
             if any(arc_mask & acc_mask and fence & band for acc_mask, fence in fences):
                 continue
-            low = max(0, start - gb)
+            low = start - gb if start > gb else 0
             fences.append((arc_mask, ((1 << (start + take + gb - low)) - 1) << low))
             bands.append(SpectrumPath(route.arcs, SlotRange(start, take), delay))
             total += take
@@ -336,16 +337,14 @@ def serve(
     allocated: list[int] = []
     final: list[SpectrumPath] = []
     try:
-        for band in plan.paths:
-            aid = state.allocate(band.arcs, band.range, policy.gb)
+        for arcs, rng, delay, _gvd, _aid in plan.paths:
+            aid = state.allocate(arcs, rng, policy.gb)
             allocated.append(aid)
             gvd = 0
             if fiber_params is not None:
-                length = sum(a.length_km for a in band.arcs)
-                gvd = gvd_differential_delay_ps(fiber_params, band.range.length, length)
-            final.append(
-                SpectrumPath(band.arcs, band.range, band.delay_ps, gvd, allocation_id=aid)
-            )
+                length = sum(a.length_km for a in arcs)
+                gvd = gvd_differential_delay_ps(fiber_params, rng.length, length)
+            final.append(SpectrumPath(arcs, rng, delay, gvd, aid))
     except Exception:
         for aid in allocated:
             state.release(aid)

@@ -13,14 +13,17 @@ the result (the path's free mask) are exactly the slots a band may use; it
 then tests that mask for a run of ``length`` such slots by erosion, in
 O(log length) integer operations, and stops at the first path that holds
 one.  It hands back the non-empty masks it read, so a caller turns a mask
-into ranges (:func:`runs`) only when it needs them.  ``free_blocks`` is the
-validated boundary: it checks the path and the guard band, then reads the
-runs of the path's mask from the same kernel.
+into runs (:func:`runs`, plain ``(start, length)`` int pairs) only when it
+needs them.  ``free_blocks`` is the validated boundary: it checks the path
+and the guard band, then reads the runs of the path's mask from the same
+kernel as ``SlotRange`` records.  :meth:`SpectrumState.allocate` checks the
+guard band, the range against the slot count and that the arcs form a
+path, then fences the range grown by the guard band against every arc, all
+before it writes a bit, so a rejected call leaves the ledger as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .topology import Link, Network
@@ -45,8 +48,7 @@ class SlotRange(NamedTuple):
         return self.start + self.length - 1
 
 
-@dataclass(frozen=True)
-class SpectrumPath:
+class SpectrumPath(NamedTuple):
     """One fiber route carrying one band with identical slots on every arc."""
 
     arcs: tuple[Link, ...]
@@ -75,16 +77,16 @@ def _mask(start: int, length: int) -> int:
     return ((1 << length) - 1) << start
 
 
-def runs(free: int) -> list[SlotRange]:
-    """The maximal runs of set bits in ``free``, sorted by start."""
-    blocks: list[SlotRange] = []
+def runs(free: int) -> list[tuple[int, int]]:
+    """The maximal runs of set bits in ``free`` as (start, length), sorted by start."""
+    blocks: list[tuple[int, int]] = []
     while free:
         low = free & -free
         start = low.bit_length() - 1  # first slot of the lowest run
         past = free + low  # carry clears the run and sets the slot after it
         end = (past & -past).bit_length() - 1  # one past the run's last slot
         free &= past
-        blocks.append(SlotRange(start, end - start))
+        blocks.append((start, end - start))
     return blocks
 
 
@@ -163,7 +165,7 @@ class SpectrumState:
             raise SpectrumError(f"negative guard band: {gb}")
         _arc_ids(fiber_path)  # raises unless the arcs form a path
         _, seen = self.scan((fiber_path,), gb, 1)
-        return runs(seen[0][1]) if seen else []
+        return [SlotRange(start, length) for start, length in runs(seen[0][1])] if seen else []
 
     def occupied_by_arc(self) -> dict[int, tuple[int, ...]]:
         """Occupied slot indices per arc id (only arcs with any occupancy)."""
@@ -192,24 +194,36 @@ class SpectrumState:
         Fails (without partial effects) if any slot is taken or an existing
         allocation sits within ``gb`` slots of the range on any arc.
         """
-        if not isinstance(rng, SlotRange):
-            rng = SlotRange(*rng)
+        start, length = rng
         if gb < 0:
             raise SpectrumError(f"negative guard band: {gb}")
-        if rng.length < 1 or rng.start < 0 or rng.start + rng.length > self.slots:
+        if length < 1 or start < 0 or start + length > self.slots:
             raise SpectrumError(f"range {rng} outside [0, {self.slots})")
-        arcs = _arc_ids(fiber_path)
-        lo = max(0, rng.start - gb)
-        fence = _mask(lo, min(self.slots, rng.start + rng.length + gb) - lo)
+        if not fiber_path:
+            raise SpectrumError("empty path")
         occ = self._occ
-        if any(occ[a] & fence for a in arcs):
-            raise ConflictError(f"range {rng} conflicts on path {list(arcs)} (gb={gb})")
-        aid = self._next_id
-        self._next_id += 1
-        band = _mask(rng.start, rng.length)
-        for a in arcs:
+        # one pass checks the arcs form a path, collects their ids and ORs
+        # their masks; nothing is written until it is done
+        ids: list[int] = []
+        taken = 0
+        node = fiber_path[0].src
+        for link in fiber_path:
+            if link.src != node:
+                raise SpectrumError(f"arcs {ids[-1]} and {link.id} are not consecutive")
+            node = link.dst
+            ids.append(link.id)
+            taken |= occ[link.id]
+        # the range grown by gb, clipped at slot 0; bits past the last slot
+        # are never set, so it needs no clip there
+        lo = start - gb if start > gb else 0
+        if taken & ((1 << (start + length + gb - lo)) - 1) << lo:
+            raise ConflictError(f"range {rng} conflicts on path {ids} (gb={gb})")
+        band = ((1 << length) - 1) << start
+        for a in ids:
             occ[a] |= band
-        self._allocs[aid] = _Alloc(arcs, rng)
+        aid = self._next_id
+        self._next_id = aid + 1
+        self._allocs[aid] = _Alloc(tuple(ids), rng)
         return aid
 
     def release(self, allocation_id: int) -> None:

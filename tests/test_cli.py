@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -17,10 +19,34 @@ from util import circulant_15_text
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
+def _out_of_range(key: str, value: str) -> str:
+    """The message that refuses a flag value outside its range.
+
+    A flag is cast as a scenario value is: a non-finite float is refused by
+    the cast and quoted as given, a finite one by its range check.
+    """
+    if not math.isfinite(float(value)):
+        return f"bad {key} '{value}': expected finite float"
+    return f"bad {key} {float(value)!r}: expected"
+
+
 def circulant_15(tmp_path):
     path = tmp_path / "circulant15.txt"
     path.write_text(circulant_15_text())
     return str(path)
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a --jobs grid imports concurrent.futures, and with it multiprocessing
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, flexrsa.cli; "
+         "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert probe.stdout.strip() == "[]"
 
 
 class TestTopoInfo:
@@ -112,6 +138,8 @@ class TestSimulate:
             (["--gb", "1.5"], "gb", "1.5"),
             (["--load", "nan"], "load", "nan"),
             (["--load", "10,inf"], "load", "inf"),
+            (["--requests", "1e3"], "requests", "1e3"),
+            (["--slots", "1.5"], "slots", "1.5"),
         ],
     )
     def test_bad_number_rejected(self, tmp_path, capsys, flags, key, value):
@@ -171,7 +199,7 @@ class TestSimulate:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
+        assert err.startswith("error:") and _out_of_range(key, value) in err
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     @pytest.mark.parametrize(
@@ -418,7 +446,8 @@ class TestSimulate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+        # cli imports the pool class only when a grid needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(cli, "_pool_net", None)
         rc = main(["simulate", "--topology", "abilene", "--slots", "16", "--k", "2,4",
                    "--tr", "2", "--load", "10", "--seeds", "0..0", "--requests", "50",
@@ -622,7 +651,7 @@ class TestProbeCommand:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"bad {key} {float(value)!r}: expected" in err
+        assert err.startswith("error:") and _out_of_range(key, value) in err
         assert not (tmp_path / "p" / "probe.csv").exists()
 
     def test_zero_probes_in_scenario_rejected(self, tmp_path, capsys):

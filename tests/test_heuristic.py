@@ -11,13 +11,14 @@ from flexrsa.heuristic import (
     PolicyParams,
     Request,
     Route,
+    Solution,
     assign_spectrum,
     compute_fiber_paths,
     release_solution,
     serve,
 )
 from flexrsa.oracle import enumerate_routes
-from flexrsa.spectrum import SlotRange, SpectrumState
+from flexrsa.spectrum import ConflictError, SlotRange, SpectrumPath, SpectrumState
 from flexrsa.topology import load_topology
 
 from util import make_net, paint, reference_assign_spectrum
@@ -379,6 +380,30 @@ class TestServe:
         bound = 2 * 30 * US_NET.slots_per_link * US_NET.num_arcs
         assert stats["phase2_slot_inspections"] <= bound
 
+    def test_failed_band_rolls_back_the_bands_before_it(self, monkeypatch):
+        # the plan holds two bands; the second allocate fails, so serve
+        # releases the first and re-raises, and the ledger is as it was
+        net, state = fragmented_diamond()
+        req, policy = Request("S", "D", 4), PolicyParams(mode="pt", k=4)
+        plan = assign_spectrum(state, compute_fiber_paths(net, "S", "D", 4), req, policy)
+        assert len(plan.paths) == 2
+        before = (state.occupancy_dump(), state.active_allocations)
+        allocate = state.allocate
+        calls = []
+
+        def second_conflicts(arcs, rng, gb):
+            calls.append(rng)
+            if len(calls) == 2:
+                raise ConflictError("the second band conflicts")
+            return allocate(arcs, rng, gb)
+
+        monkeypatch.setattr(state, "allocate", second_conflicts)
+        with pytest.raises(ConflictError, match="the second band"):
+            serve(state, net, req, policy)
+        assert len(calls) == 2
+        assert (state.occupancy_dump(), state.active_allocations) == before
+        state.audit(0)
+
     def test_gvd_recorded_when_fiber_given(self):
         from flexrsa.physics import FiberParams
 
@@ -547,6 +572,29 @@ class TestLazyAggregation:
         read = self.counting_runs(monkeypatch)
         sol = assign_spectrum(state, routes, Request("S", "D", 2), PolicyParams(mode="pt"))
         assert sol.paths[0].range == SlotRange(0, 2) and len(read) == 1
+
+
+class TestSpectrumPath:
+    def band(self, **fields):
+        arcs = tuple(US_NET.outgoing("Seattle")[:1])
+        return SpectrumPath(arcs=arcs, range=SlotRange(2, 3), delay_ps=1_000, **fields)
+
+    def test_keywords_and_defaults(self):
+        band = self.band()
+        assert (band.gvd_ps, band.allocation_id) == (0, None)
+        assert band.range.length == 3 and band.delay_ps == 1_000
+        assert self.band(gvd_ps=7, allocation_id=4)[3:] == (7, 4)
+
+    def test_pickle_round_trip(self):
+        band = self.band(gvd_ps=7, allocation_id=4)
+        again = pickle.loads(pickle.dumps(band))
+        assert again == band and type(again) is SpectrumPath
+
+    def test_solutions_compare_and_hash_by_their_bands(self):
+        one, other = Solution((self.band(),)), Solution((self.band(),))
+        assert one == other and hash(one) == hash(other)
+        assert one != Solution((self.band(allocation_id=1),))
+        assert len({one, other, Solution((self.band(gvd_ps=1),))}) == 2
 
 
 class TestRoute:

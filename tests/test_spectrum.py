@@ -154,7 +154,7 @@ class TestFreeMask:
         # hands back every non-empty mask up to and including the hit's
         slots, masks = case
         state, paths = star(masks, slots)
-        longest = [max((r.length for r in runs(m)), default=0) for m in masks]
+        longest = [max((length for _, length in runs(m)), default=0) for m in masks]
         for length in range(1, slots + 2):
             hit = next((i for i, run in enumerate(longest) if run >= length), None)
             read = masks if hit is None else masks[: hit + 1]
@@ -169,6 +169,15 @@ class TestFreeMask:
         for length in range(1, slots + 1):
             assert state.scan([empty, open_path], 0, length) == (1, [(1, full)])
         assert state.scan([empty, open_path], 0, slots + 1) == (None, [(1, full)])
+
+    def test_runs_are_int_pairs_and_free_blocks_slot_ranges(self):
+        _, state, path = single_arc_state()
+        paint(state, path[0], "1111000011110000")
+        pairs = runs(path_mask(state, path, 0))
+        assert pairs == [(4, 4), (12, 4)]
+        assert all(type(pair) is tuple and all(type(v) is int for v in pair) for pair in pairs)
+        blocks = state.free_blocks(path, 0)
+        assert blocks == pairs and all(type(b) is SlotRange for b in blocks)
 
     def test_edges_need_no_guard(self):
         _, state, path = single_arc_state(8)
@@ -218,6 +227,18 @@ class TestAllocate:
         with pytest.raises(ConflictError):
             state.allocate((a_b, b_c), SlotRange(2, 2), 0)
         assert state.occupancy_dump() == before
+
+    def test_non_consecutive_third_arc_leaves_ledger_unchanged(self):
+        net = make_net([("A", "B", 100), ("B", "C", 100), ("C", "D", 100), ("A", "D", 100)],
+                       slots=8)
+        arc = {(l.src, l.dst): l for v in net.nodes for l in net.outgoing(v)}
+        state = SpectrumState(net)
+        state.allocate((arc["C", "D"],), SlotRange(0, 2), 0)
+        before = (state.occupancy_dump(), state.active_allocations)
+        broken = (arc["A", "B"], arc["B", "C"], arc["A", "D"])
+        with pytest.raises(SpectrumError, match="not consecutive"):
+            state.allocate(broken, SlotRange(4, 2), 0)
+        assert (state.occupancy_dump(), state.active_allocations) == before
 
     def test_range_validation(self):
         _, state, path = single_arc_state(8)
