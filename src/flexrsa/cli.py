@@ -26,7 +26,7 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 from . import crossval, ilp, oracle, sim
-from .heuristic import PolicyParams, compute_fiber_paths
+from .heuristic import PolicyParams, cached_fiber_paths
 from .physics import FiberParams
 from .topology import Network, TopologyError, load_topology
 
@@ -397,9 +397,15 @@ def cmd_probe(args) -> int:
     return 0
 
 
+def _cast_flags(args: argparse.Namespace, casts: dict) -> None:
+    """Cast each named flag, read as text, in place; a bad value is a ConfigError."""
+    for key, cast in casts.items():
+        setattr(args, key, _cast(key, getattr(args, key), cast))
+
+
 def cmd_export_ilp(args) -> int:
-    demand, slots = args.tr, args.slots
-    max_dd_us = _cast("max_dd_us", args.max_dd_us, float)
+    _cast_flags(args, {"slots": int, "paths": int, "gb": int, "max_dd_us": float, "tr": int})
+    demand, slots, max_dd_us = args.tr, args.slots, args.max_dd_us
     _check([
         ("tr", [demand], lambda v: v >= 1, ">= 1"),
         ("gb", [args.gb], lambda v: v >= 0, ">= 0"),
@@ -418,7 +424,7 @@ def cmd_export_ilp(args) -> int:
     def bad_tr(s, d, exc):  # every other input is checked above: tr exceeds |P|*|F|
         return ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}")
 
-    routes = compute_fiber_paths(net, src, dst, args.paths)
+    routes = cached_fiber_paths(net, src, dst, args.paths)
     if not routes:
         raise ConfigError(f"no path from {src} to {dst}")
     try:
@@ -435,7 +441,9 @@ def cmd_export_ilp(args) -> int:
     print(f"total variables: {len(model.variables)}")
     print(f"total constraints: {len(model.constraints)}")
     if args.all_pairs:
-        # a pair's model has one y variable per (route, slot): count them from the routes alone
+        # a pair's model has one y variable per (route, slot): count them from
+        # the routes alone, read through the route memo, which searches each
+        # fiber pair once
         total_y = 0
         pairs = 0
         for s in net.nodes:
@@ -443,7 +451,7 @@ def cmd_export_ilp(args) -> int:
                 if s == d:
                     continue
                 pairs += 1
-                pr = compute_fiber_paths(net, s, d, args.paths)
+                pr = cached_fiber_paths(net, s, d, args.paths)
                 if not pr:
                     continue
                 try:
@@ -459,6 +467,8 @@ def cmd_export_ilp(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    counts = ("seed", "instances", "max_nodes", "slots", "max_demand", "k")
+    _cast_flags(args, dict.fromkeys(counts, int))
     budget = oracle.OracleLimits()  # larger instances raise BudgetExceeded in the oracle
     _check([
         ("instances", [args.instances], lambda v: v >= 1, ">= 1"),
@@ -496,6 +506,7 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_topo_info(args) -> int:
+    _cast_flags(args, {"slots": int})
     _check([("slots", [args.slots], lambda v: v >= 1, ">= 1")])
     net = load_topology(_read_topology(args.topology), slots_per_link=args.slots)
     degrees = [len(net.outgoing(v)) for v in net.nodes]
@@ -531,13 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p, "probe")
     p.set_defaults(fn=cmd_probe)
 
+    # numeric flags of the other commands are read as text too, and cast by
+    # the command, so a bad value gets the message a grid flag gets
     p = sub.add_parser("export-ilp", help="build one request model and export LP text")
     p.add_argument("--topology", default=GRID_KEYS["topology"].default)
-    p.add_argument("--slots", type=int, default=16)
-    p.add_argument("--paths", type=int, default=4, help="candidate paths |P|")
-    p.add_argument("--gb", type=int, default=0)
-    p.add_argument("--max-dd-us", dest="max_dd_us", type=float, default=M_US_PT1)
-    p.add_argument("--tr", type=int, default=4, help="demand slots")
+    p.add_argument("--slots", default=16)
+    p.add_argument("--paths", default=4, help="candidate paths |P|")
+    p.add_argument("--gb", default=0)
+    p.add_argument("--max-dd-us", dest="max_dd_us", default=M_US_PT1)
+    p.add_argument("--tr", default=4, help="demand slots")
     p.add_argument("--src")
     p.add_argument("--dst")
     p.add_argument("--all-pairs", action="store_true", help="aggregate counts over all pairs")
@@ -545,17 +558,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_export_ilp)
 
     p = sub.add_parser("oracle-check", help="cross-validate oracle/heuristic/checker")
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--max-nodes", dest="max_nodes", type=int, default=5)
-    p.add_argument("--slots", type=int, default=8)
-    p.add_argument("--max-demand", dest="max_demand", type=int, default=4)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--seed", default=7)
+    p.add_argument("--instances", default=20)
+    p.add_argument("--max-nodes", dest="max_nodes", default=5)
+    p.add_argument("--slots", default=8)
+    p.add_argument("--max-demand", dest="max_demand", default=4)
+    p.add_argument("--k", default=4)
     p.set_defaults(fn=cmd_oracle_check)
 
     p = sub.add_parser("topo-info", help="show topology facts")
     p.add_argument("--topology", default=GRID_KEYS["topology"].default)
-    p.add_argument("--slots", type=int, default=GRID_KEYS["slots"].default)
+    p.add_argument("--slots", default=GRID_KEYS["slots"].default)
     p.set_defaults(fn=cmd_topo_info)
 
     return parser

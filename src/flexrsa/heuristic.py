@@ -20,6 +20,15 @@ enumeration (k <= K) are exactly the k-path enumeration: a table serves every
 smaller K from a prefix, a larger K re-enumerates and replaces it, and a pair
 with fewer paths than its table's K is never enumerated again.
 
+On a twinned network (arc 2k+1 is arc 2k reversed, with the same delay, as in
+every loaded topology) each fiber pair is searched once.  Twin rule: the
+paths d -> s are the paths s -> d reversed onto the twin arcs (``id ^ 1``),
+with the same delays, so a table d -> s that covers K gives the table s -> d
+without a search; only runs of equal delay change order, and each is
+re-sorted by (nodes, arc ids).  Tie rule: a search there goes on past its
+K-th path while the frontier can still give a path just as slow, so the
+table holds every path tied with the K-th and the reversed order is exact.
+
 Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
 whose path delay exceeds the earliest candidate's by at most the
@@ -43,7 +52,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps
@@ -165,11 +174,14 @@ def compute_fiber_paths(
     destination: str,
     k: int,
     stats: dict | None = None,
+    *,
+    ties: bool = False,
 ) -> list[Route]:
     """Up to ``k`` loop-free paths in nondecreasing delay order.
 
     Deterministic: equal-delay paths order by node sequence, then arc ids
-    (parallel arcs).  Returns fewer than ``k`` only when fewer exist.
+    (parallel arcs).  Returns fewer than ``k`` only when fewer exist.  With
+    ``ties``, every path as slow as the k-th follows it, so more may come.
     """
     if not net.has_node(source):
         raise ValueError(f"unknown source {source!r}")
@@ -191,14 +203,19 @@ def compute_fiber_paths(
     frontier: list[tuple[int, tuple[str, ...], tuple[int, ...], int]] = (
         [(bound[source], (source,), (), 0)] if source in bound else []
     )
+    last = None  # with ties: the k-th path's delay, past which nothing is popped
     while frontier:
+        if last is not None and frontier[0][0] > last:
+            break
         _key, nodes, arc_ids, delay = pop(frontier)
         expansions += 1
         head = nodes[-1]
         if head == destination:
             found.append(Route(tuple(map(arc, arc_ids)), nodes, delay))
             if len(found) == k:
-                break
+                if not ties:
+                    break
+                last = delay
             continue
         for nxt, step, ranked, arc_id in onward[head]:
             if nxt not in nodes:
@@ -209,11 +226,42 @@ def compute_fiber_paths(
 
 
 class _RouteTable(NamedTuple):
-    """One pair's routes: the enumeration made at ``k`` and the prefixes served by K."""
+    """One pair's routes: the enumeration asked at ``k`` and the prefixes served by K.
+
+    ``routes`` may run past ``k`` with paths tied with the k-th; fewer than
+    ``k`` means the pair has no more.
+    """
 
     k: int
     routes: tuple[Route, ...]
     prefixes: dict[int, tuple[Route, ...]]
+
+    def covers(self, k: int) -> bool:
+        return k <= len(self.routes) or len(self.routes) < self.k
+
+
+def _route_order(route: Route) -> tuple:
+    return route.nodes, tuple(a.id for a in route.arcs)
+
+
+def _twin_table(net: Network, table: _RouteTable) -> _RouteTable:
+    """The reverse pair's table: each route on its twin arcs (id ^ 1), backwards.
+
+    A twin route keeps its delay, so only equal-delay runs can change order;
+    each is re-sorted by node sequence, then arc ids.
+    """
+    arc = net.links
+    flipped = [
+        Route(tuple([arc[a.id ^ 1] for a in reversed(r.arcs)]), r.nodes[::-1], r.delay_ps)
+        for r in table.routes
+    ]
+    routes: list[Route] = []
+    for _delay, run in groupby(flipped, attrgetter("delay_ps")):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=_route_order)
+        routes += run
+    return _RouteTable(table.k, tuple(routes), {})
 
 
 def cached_fiber_paths(
@@ -228,25 +276,35 @@ def cached_fiber_paths(
 
     A caller's ``cache`` is keyed by (source, destination, k).  ``net.route_memo``
     holds one table per (source, destination): a K it already covers is a
-    prefix of the table, sliced once; any other K re-enumerates the pair.
-    Routes are tuples, because every later caller shares them.
+    prefix of the table, sliced once.  On a twinned network (see
+    ``Network.twinned``) a table the pair lacks or that is too short is
+    derived from its reverse pair's table when that one covers K, and a
+    search keeps the paths tied with the K-th, so the derived order is
+    exact; any other K enumerates the pair.  Routes are tuples, because
+    every later caller shares them.
     """
     if cache is not None:
         key = (source, destination, k)
         if key not in cache:
             cache[key] = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
         return cache[key]
+    memo = net.route_memo
     pair = (source, destination)
-    table = net.route_memo.get(pair)
+    table = memo.get(pair)
     if table is not None:
         routes = table.prefixes.get(k)
         if routes is not None:
             return routes
-        if k < table.k or len(table.routes) < table.k:  # a prefix, or all the pair has
-            routes = table.prefixes[k] = table.routes[:k]
-            return routes
-    routes = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
-    net.route_memo[pair] = _RouteTable(k, routes, {k: routes})
+    if table is None or not table.covers(k):
+        twinned = net.twinned
+        twin = memo.get((destination, source)) if twinned else None
+        if twin is not None and twin.covers(k):
+            table = _twin_table(net, twin)
+        else:
+            found = compute_fiber_paths(net, source, destination, k, stats=stats, ties=twinned)
+            table = _RouteTable(k, tuple(found), {})
+        memo[pair] = table
+    routes = table.prefixes[k] = table.routes[:k]
     return routes
 
 

@@ -92,8 +92,26 @@ class Network:
 
         ``heuristic.cached_fiber_paths`` keeps here, per pair, its longest
         enumeration, the K it was made at and the shorter prefixes served.
+        On a ``twinned`` network a pair's table may be derived from its
+        reverse pair's: each route reversed onto the twin arcs, with only
+        equal-delay runs re-sorted.  That is exact because every search there
+        also keeps the paths tied in delay with its K-th.
         """
         return {}
+
+    @cached_property
+    def twinned(self) -> bool:
+        """Whether every arc 2k+1 is arc 2k reversed, with the same delay.
+
+        ``load_topology`` builds every network so.  Then the loop-free paths
+        from d to s are exactly the s-to-d paths reversed onto the twin arcs
+        (``id ^ 1``), with the same delays.
+        """
+        links = self.links
+        return len(links) % 2 == 0 and all(
+            back.src == fwd.dst and back.dst == fwd.src and back.delay_ps == fwd.delay_ps
+            for fwd, back in zip(links[::2], links[1::2])
+        )
 
     @cached_property
     def draw_memo(self) -> dict:

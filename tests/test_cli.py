@@ -72,6 +72,11 @@ class TestTopoInfo:
         assert err.startswith("error:") and "bad slots 0: expected >= 1" in err
         assert "Traceback" not in err
 
+    def test_non_integer_slots_rejected(self, capsys):
+        # read as text and cast by the command, as a grid flag is
+        assert main(["topo-info", "--slots", "1.5"]) == 2
+        assert capsys.readouterr().err == "error: bad slots '1.5': expected int\n"
+
 
 class TestSimulate:
     def test_tiny_grid_writes_csvs(self, tmp_path, capsys):
@@ -266,7 +271,9 @@ class TestSimulate:
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     def test_grid_parses_once_and_enumerates_each_route_once(self, tmp_path, monkeypatch):
-        # every cell of a --jobs 1 grid shares one parsed network and its route memo
+        # every cell of a --jobs 1 grid shares one parsed network and its route
+        # memo, which searches each fiber pair once: one direction is derived
+        # from the other's routes
         parses = []
         enumerations = Counter()
         parse, enumerate_paths = cli.load_topology, heuristic.compute_fiber_paths
@@ -275,9 +282,9 @@ class TestSimulate:
             parses.append(args)
             return parse(*args, **kwargs)
 
-        def counted_enumerate(net, source, destination, k, stats=None):
-            enumerations[source, destination, k] += 1
-            return enumerate_paths(net, source, destination, k, stats=stats)
+        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+            enumerations[frozenset((source, destination)), k] += 1
+            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
 
         monkeypatch.setattr(cli, "load_topology", counted_parse)
         monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
@@ -291,16 +298,17 @@ class TestSimulate:
         assert enumerations and max(enumerations.values()) == 1
 
     def test_multi_k_grid_enumerates_each_pair_once(self, tmp_path, monkeypatch):
-        # cells run in descending K: every pair is enumerated once, at the
-        # largest K, and the K=4 cells read that table's prefix
+        # cells run in descending K: every fiber pair is enumerated once, in
+        # one direction, at the largest K, and the K=4 cells read that table's
+        # prefix or its reverse
         enumerations = Counter()
         ks = set()
         enumerate_paths = heuristic.compute_fiber_paths
 
-        def counted_enumerate(net, source, destination, k, stats=None):
-            enumerations[source, destination] += 1
+        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+            enumerations[frozenset((source, destination))] += 1
             ks.add(k)
-            return enumerate_paths(net, source, destination, k, stats=stats)
+            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
 
         monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
         rc = main(
@@ -309,7 +317,7 @@ class TestSimulate:
              "--requests", "250", "--jobs", "1", "--out", str(tmp_path / "o")]
         )
         assert rc == 0
-        assert len(enumerations) > 100  # of abilene's 132 ordered pairs
+        assert len(enumerations) > 50  # of abilene's 66 fiber pairs
         assert set(enumerations.values()) == {1}
         assert ks == {8}
 
@@ -333,10 +341,10 @@ class TestSimulate:
             drawn.append(traffic.seed)
             return draw(net, traffic, count)
 
-        def counted_enumerate(net, source, destination, k, stats=None):
-            enumerations[source, destination] += 1
+        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+            enumerations[frozenset((source, destination))] += 1
             ks.add(k)
-            return enumerate_paths(net, source, destination, k, stats=stats)
+            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
 
         monkeypatch.setattr(sim, "_draw", counted_draw)
         monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
@@ -789,6 +797,21 @@ class TestExportIlp:
         assert text.startswith("Minimize")
         assert "Binaries" in text and "End" in text
 
+    def test_all_pairs_searches_each_fiber_pair_once(self, tmp_path, monkeypatch, capsys):
+        searched = []
+        enumerate_paths = heuristic.compute_fiber_paths
+
+        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+            searched.append(frozenset((source, destination)))
+            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
+
+        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        topo = circulant_15(tmp_path)
+        assert main(["export-ilp", "--topology", topo, "--slots", "16", "--paths", "4",
+                     "--all-pairs"]) == 0
+        assert "aggregate y variables over 210 node pairs: 13440" in capsys.readouterr().out
+        assert len(searched) == len(set(searched)) == 105
+
     def test_export_parses_back(self, tmp_path):
         from flexrsa import ilp
 
@@ -809,12 +832,14 @@ class TestExportIlp:
             (["--gb", "-1"], "bad gb -1: expected >= 0"),
             (["--paths", "0"], "bad paths 0: expected >= 1"),
             (["--max-dd-us", "-3"], "bad max_dd_us -3.0: expected >= 0"),
-            (["--max-dd-us", "nan"], "bad max_dd_us nan: expected finite float"),
+            (["--max-dd-us", "nan"], "bad max_dd_us 'nan': expected finite float"),
             # two routes of 8 slots hold at most 16: the model would be infeasible
             (["--tr", "100"],
              "bad tr 100 for Seattle -> NewYork: demand 100 exceeds the capacity |P|*|F| = 2*8 = 16"),
             (["--tr", "17"], "bad tr 17 for Seattle -> NewYork: demand 17 exceeds the capacity"),
             (["--slots", "0"], "bad slots 0: expected >= 1"),
+            # numeric flags are read as text and cast by the command
+            (["--slots", "1.5"], "bad slots '1.5': expected int"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
@@ -878,6 +903,8 @@ class TestOracleCheck:
             (["--max-demand", "9"], "bad max_demand 9: expected max_demand <= slots (8)"),
             (["--slots", "4", "--max-demand", "5"],
              "bad max_demand 5: expected max_demand <= slots (4)"),
+            # numeric flags are read as text and cast by the command
+            (["--instances", "1e3"], "bad instances '1e3': expected int"),
         ],
     )
     def test_bad_input_rejected(self, capsys, flags, message):

@@ -5,6 +5,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flexrsa import heuristic
 from flexrsa.heuristic import (
@@ -18,8 +19,9 @@ from flexrsa.heuristic import (
     serve,
 )
 from flexrsa.oracle import enumerate_routes
+from flexrsa.physics import propagation_ps
 from flexrsa.spectrum import ConflictError, SlotRange, SpectrumPath, SpectrumState
-from flexrsa.topology import load_topology
+from flexrsa.topology import Link, Network, load_topology
 
 from util import make_net, paint, reference_assign_spectrum
 
@@ -166,9 +168,9 @@ class TestRouteTable:
         calls = []
         enumerate_paths = heuristic.compute_fiber_paths
 
-        def counted(net, source, destination, k, stats=None):
+        def counted(net, source, destination, k, stats=None, **kwargs):
             calls.append((source, destination, k))
-            return enumerate_paths(net, source, destination, k, stats=stats)
+            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
 
         monkeypatch.setattr(heuristic, "compute_fiber_paths", counted)
         return calls
@@ -201,6 +203,66 @@ class TestRouteTable:
             assert routes == tuple(compute_fiber_paths(triangle(), "A", "C", k))
         assert enumerations == [("A", "C", 5)]
 
+    def test_each_fiber_pair_is_searched_once(self, enumerations):
+        # every ordered pair, in random order: the second direction of a
+        # fiber pair is derived from the first, never searched
+        net = load_topology(US_TEXT, slots_per_link=16)
+        pairs = [(s, d) for s in net.nodes for d in net.nodes if s != d]
+        random.Random(5).shuffle(pairs)
+        for s, d in pairs:
+            routes = heuristic.cached_fiber_paths(net, s, d, 30)
+            want = compute_fiber_paths(US_NET, s, d, 30)
+            assert list(routes) == want
+            assert [r.arc_mask for r in routes] == [r.arc_mask for r in want]
+        assert len(enumerations) == 276
+        assert len({frozenset((s, d)) for s, d, _k in enumerations}) == 276
+
+    def test_a_twin_table_that_covers_k_replaces_a_shorter_one(self, enumerations):
+        net = load_topology(US_TEXT, slots_per_link=16)
+        heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 10)
+        heuristic.cached_fiber_paths(net, "Atlanta", "Seattle", 40)
+        routes = heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 40)
+        assert routes == tuple(compute_fiber_paths(US_NET, "Seattle", "Atlanta", 40))
+        assert enumerations == [("Seattle", "Atlanta", 10), ("Atlanta", "Seattle", 40)]
+
+    def test_the_reverse_of_a_tie_at_k_picks_from_every_tied_path(self, enumerations):
+        # S-D is the fastest; S-A-Y-D and S-B-X-D tie for second.  At K=2 the
+        # forward search keeps both, since the reverse order picks D-X-B-S,
+        # the twin of the route a plain K=2 search would have dropped
+        net = make_net(
+            [("S", "D", 100), ("S", "A", 100), ("A", "Y", 100), ("Y", "D", 100),
+             ("S", "B", 100), ("B", "X", 100), ("X", "D", 100)],
+            slots=4,
+        )
+        forward = heuristic.cached_fiber_paths(net, "S", "D", 2)
+        backward = heuristic.cached_fiber_paths(net, "D", "S", 2)
+        assert [r.nodes for r in forward] == [("S", "D"), ("S", "A", "Y", "D")]
+        assert [r.nodes for r in backward] == [("D", "S"), ("D", "X", "B", "S")]
+        assert list(backward) == compute_fiber_paths(net, "D", "S", 2)
+        assert len(net.route_memo["S", "D"].routes) == 3
+        assert enumerations == [("S", "D", 2)]
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            # a one-way arc: arc 2 has no twin
+            [("A", "B", 100), ("B", "A", 100), ("B", "C", 100)],
+            # twins whose delays differ
+            [("A", "B", 100), ("B", "A", 100), ("B", "C", 100), ("C", "B", 200)],
+        ],
+    )
+    def test_a_network_that_is_not_twinned_searches_both_directions(self, enumerations, links):
+        arcs = tuple(
+            Link(i, src, dst, km, propagation_ps(km, 2.0e5))
+            for i, (src, dst, km) in enumerate(links)
+        )
+        net = Network(("A", "B", "C"), arcs, slots_per_link=4)
+        assert not net.twinned
+        for s, d in [("A", "C"), ("C", "A"), ("B", "C"), ("C", "B")]:
+            routes = heuristic.cached_fiber_paths(net, s, d, 3)
+            assert list(routes) == compute_fiber_paths(net, s, d, 3)
+        assert enumerations == [("A", "C", 3), ("C", "A", 3), ("B", "C", 3), ("C", "B", 3)]
+
     def test_reverse_dijkstra_runs_once_per_destination(self, monkeypatch):
         runs = []
         delays_to = heuristic._delays_to
@@ -217,6 +279,33 @@ class TestRouteTable:
                     if src != dst:
                         compute_fiber_paths(net, src, dst, k)
         assert sorted(runs) == sorted(net.nodes)
+
+
+@st.composite
+def _twinned_multigraph(draw):
+    """A loaded topology on 2-6 nodes with parallel links whose lengths tie often."""
+    n = draw(st.integers(2, 6))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(st.tuples(ends, st.sampled_from([100, 200, 300])), max_size=12))
+    lines = [f"node v{i}" for i in range(n)]
+    lines += [f"link v{a} v{b} {km}" for (a, b), km in edges]
+    return load_topology("\n".join(lines), slots_per_link=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=_twinned_multigraph(), data=st.data())
+def test_route_memo_matches_a_search_of_every_ordered_pair(net, data):
+    # pairs come in random order at random K, so a pair may be derived from a
+    # twin table made at a smaller, equal or larger K; ties at the K-th path
+    # are common, since lengths come from three values
+    pairs = [(s, d) for s in net.nodes for d in net.nodes if s != d]
+    asks = data.draw(st.permutations(pairs + pairs))
+    for s, d in asks:
+        k = data.draw(st.integers(1, 6))
+        routes = heuristic.cached_fiber_paths(net, s, d, k)
+        want = compute_fiber_paths(net, s, d, k)
+        assert list(routes) == want
+        assert [r.arc_mask for r in routes] == [r.arc_mask for r in want]
 
 
 class TestAssignSpectrum:

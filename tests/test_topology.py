@@ -64,6 +64,8 @@ class TestInvariants:
             rev = by_pair[(link.dst, link.src)]
             assert rev.length_km == link.length_km
             assert rev.delay_ps == link.delay_ps
+            assert net.links[link.id ^ 1] is rev
+        assert net.twinned
 
     def test_delay_recomputable_from_length(self):
         net = load_topology(US_TEXT, slots_per_link=16, propagation_speed_km_s=2.0e5)
