@@ -1,12 +1,13 @@
 """Command-line front end: simulation grids, probes, model export, self-check.
 
-Scenario files are flat ``key = value`` text (comma-separated lists for grid
-keys); explicit command-line flags override scenario values, which override
-built-in defaults.  Each ``simulate``/``probe`` key is one ``GRID_KEYS`` row,
-which gives its default, cast, range check and flag.  Grid runs write two CSVs (metrics + band-count
-distribution) atomically, so a scenario plus a seed fully determines every
-output byte, and print one summary row per cell key (mean over seeds and its
-95% t half-width).
+Every command reads its flags from its own ``KEYS`` table: one row per key,
+which gives the key's default, cast, range check and help, and one --flag.
+``simulate`` and ``probe`` also read scenario files, flat ``key = value``
+text (comma-separated lists for grid keys); explicit flags override scenario
+values, which override the defaults.  Grid runs write two CSVs (metrics +
+band-count distribution) atomically, so a scenario plus a seed fully
+determines every output byte, and print one summary row per cell key (mean
+over seeds and its 95% t half-width).
 
 Policy tokens: ``st`` (single band), ``pt`` (multipath, bound set by
 --max-dd-us), ``pt1`` (multipath, 128 ms: off-chip buffering) and ``pt2``
@@ -35,14 +36,13 @@ M_US_PT2 = 250.0
 
 
 class _Key(NamedTuple):
-    """One ``simulate``/``probe`` key: its default, how it is read and checked, its flag help."""
+    """One command key: its default, how it is read and checked, its flag help."""
 
     default: object
     cast: type | None = None  # int or float; None keeps the text
     listed: bool = False  # a comma list: each value is cast and checked
     check: tuple[Callable[[object], bool], str] | None = None  # range test, what it accepts
     help: str | None = None
-    command: str | None = None  # the one command that reads the key; None for both
 
 
 def _at_least(bound) -> tuple[Callable[[object], bool], str]:
@@ -51,9 +51,8 @@ def _at_least(bound) -> tuple[Callable[[object], bool], str]:
 
 _POSITIVE = (lambda v: v > 0, "> 0")
 
-# Every simulate/probe key, in the order it is resolved (max_dd_us before
-# mode, which reads it); each is a scenario key and a --flag.
-GRID_KEYS = {
+# the keys both grid commands read; each is a scenario key and a --flag
+_GRID = {
     "topology": _Key("us", help="file path, or builtin 'us' / 'abilene'"),
     "slots": _Key(128, int, check=_at_least(1), help="frequency slots per link"),
     "max_dd_us": _Key(M_US_PT1, float, check=_at_least(0),
@@ -61,8 +60,6 @@ GRID_KEYS = {
     "mode": _Key("pt1", listed=True, help="comma list of st|pt|pt1|pt2"),
     "k": _Key("30", int, True, _at_least(1), "max fiber-level paths (comma list)"),
     "gb": _Key("0", int, True, _at_least(0), "guard-band slots (comma list)"),
-    "tr": _Key("10", listed=True, command="simulate",
-               help="demand slots: fixed '10' or range '1-4' (comma list)"),
     "load": _Key("75", float, True, _POSITIVE, "Erlang loads (comma list)"),
     "seeds": _Key("0..4", help="'N' for 0..N-1, 'a..b', or comma list"),
     "requests": _Key(20000, int, check=_at_least(1), help="connection requests per run"),
@@ -75,13 +72,52 @@ GRID_KEYS = {
                       help="propagation speed in km/s, which sets every arc's delay"),
     "jobs": _Key(1, int, check=_at_least(1), help="concurrent grid cells"),
     "out": _Key(None, help="output directory (or FLEXRSA_OUT env)"),
-    "bg_tr": _Key("1-4", command="probe", help="background demand, e.g. '1-4'"),
-    "probe_tr": _Key("4-6", command="probe", help="probe demand, e.g. '4-6'"),
-    "probes": _Key(50, int, check=(lambda v: v >= 1, "a probe count >= 1"), command="probe",
-                   help="probes per run"),
-    "spacing": _Key(25, int, check=_at_least(1), command="probe",
-                    help="background arrivals between probes"),
 }
+
+_BUDGET = oracle.OracleLimits()  # larger instances raise BudgetExceeded in the oracle
+
+# Every key of every command, in the order it is read.
+KEYS = {
+    "simulate": {
+        **_GRID,
+        "tr": _Key("10", listed=True, help="demand slots: fixed '10' or range '1-4' (comma list)"),
+    },
+    "probe": {
+        **_GRID,
+        "bg_tr": _Key("1-4", help="background demand, e.g. '1-4'"),
+        "probe_tr": _Key("4-6", help="probe demand, e.g. '4-6'"),
+        "probes": _Key(50, int, check=(lambda v: v >= 1, "a probe count >= 1"),
+                       help="probes per run"),
+        "spacing": _Key(25, int, check=_at_least(1), help="background arrivals between probes"),
+    },
+    "export-ilp": {
+        "topology": _GRID["topology"],
+        "slots": _GRID["slots"]._replace(default=16),
+        "paths": _Key(4, int, check=_at_least(1), help="candidate paths |P|"),
+        "gb": _Key(0, int, check=_at_least(0), help="guard-band slots"),
+        "max_dd_us": _GRID["max_dd_us"]._replace(help="differential-delay bound M, in microseconds"),
+        "tr": _Key(4, int, check=_at_least(1), help="demand slots"),
+        "src": _Key(None, help="source node (default: the first node)"),
+        "dst": _Key(None, help="destination node (default: the last node)"),
+        "out": _Key(None, help="LP output file"),
+    },
+    "oracle-check": {
+        "seed": _Key(7, int, help="cross-validation seed"),
+        "instances": _Key(20, int, check=_at_least(1), help="random instances to check"),
+        "max_nodes": _Key(5, int, help="nodes per instance, at most",
+                          check=(lambda v: 3 <= v <= _BUDGET.max_nodes,
+                                 f"3 <= max_nodes <= {_BUDGET.max_nodes}")),
+        "slots": _Key(8, int, help="frequency slots per link",
+                      check=(lambda v: 1 <= v <= _BUDGET.max_slots,
+                             f"1 <= slots <= {_BUDGET.max_slots}")),
+        "max_demand": _Key(4, int, check=_at_least(1), help="demand slots, at most (<= slots)"),
+        "k": _Key(4, int, check=_at_least(1), help="max fiber-level paths"),
+    },
+    "topo-info": {"topology": _GRID["topology"], "slots": _GRID["slots"]},
+}
+
+# each mode token: its engine mode and differential-delay bound (None: --max-dd-us)
+_MODES = {"st": ("st", None), "pt": ("pt", None), "pt1": ("pt", M_US_PT1), "pt2": ("pt", M_US_PT2)}
 
 
 class ConfigError(ValueError):
@@ -145,16 +181,10 @@ def _parse_modes(tokens: list[str], max_dd_us: float) -> list[tuple[str, str, fl
     """Each token becomes (label, engine mode, differential-delay bound in us)."""
     out = []
     for tok in tokens:
-        if tok == "st":
-            out.append(("st", "st", max_dd_us))
-        elif tok == "pt":
-            out.append(("pt", "pt", max_dd_us))
-        elif tok == "pt1":
-            out.append(("pt1", "pt", M_US_PT1))
-        elif tok == "pt2":
-            out.append(("pt2", "pt", M_US_PT2))
-        else:
+        if tok not in _MODES:
             raise ConfigError(f"unknown mode {tok!r} (expected st|pt|pt1|pt2)")
+        mode, m_us = _MODES[tok]
+        out.append((tok, mode, max_dd_us if m_us is None else m_us))
     return out
 
 
@@ -168,11 +198,13 @@ def load_scenario(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, value = line.split("=", 1)
-                values[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key in values:
+                    raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+                values[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {path!r}: {exc}") from exc
-    unknown = set(values) - set(GRID_KEYS)
+    unknown = set(values) - set(KEYS["simulate"]) - set(KEYS["probe"])
     if unknown:
         raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
     return values
@@ -199,39 +231,39 @@ def _write_atomic(path: str, text: str):
     os.replace(tmp, path)
 
 
-def _check(limits) -> None:
-    """Reject the first value outside its range, naming key and value.
+def _config(args: argparse.Namespace, scenario: dict | None = None) -> dict:
+    """Every key of the command: its flag, else its scenario value, else its default.
 
-    Each limit is ``(key, values, ok, expected)``: every value must pass ``ok``.
+    Each value is cast and range-checked by its ``KEYS`` row.  A flag is read
+    as text, as a scenario value is, so a bad value gets the same message
+    either way.
     """
-    for key, values, ok, expected in limits:
-        for value in values:
-            if not ok(value):
-                raise ConfigError(f"bad {key} {value!r}: expected {expected}")
-
-
-def _common_grid_config(args: argparse.Namespace) -> dict:
-    """Every key the command reads: its flag, else its scenario value, else its default.
-
-    Each value is cast and range-checked by its ``GRID_KEYS`` row; the keys
-    with their own parsers (``mode``, ``seeds`` and the demands) are read
-    after.  Every list in the result is a grid axis and must not be empty.
-    """
-    scenario = load_scenario(args.scenario) if args.scenario else {}
     cfg = {}
-    for key, row in GRID_KEYS.items():
-        if row.command not in (None, args.command):
-            continue
+    for key, row in KEYS[args.command].items():
         value = getattr(args, key)
         if value is None:
-            value = scenario.get(key, row.default)
+            value = (scenario or {}).get(key, row.default)
         if row.listed:
             value = _parse_list(key, value, row.cast or str)
         elif row.cast:
             value = _cast(key, value, row.cast)
         if row.check:
-            _check([(key, value if row.listed else [value], *row.check)])
+            ok, expected = row.check
+            for v in value if row.listed else [value]:
+                if not ok(v):
+                    raise ConfigError(f"bad {key} {v!r}: expected {expected}")
         cfg[key] = value
+    return cfg
+
+
+def _common_grid_config(args: argparse.Namespace) -> dict:
+    """``_config`` of a grid command, which reads ``--scenario`` too.
+
+    The keys with their own parsers (``mode``, ``seeds`` and the demands)
+    are read after the rows, and so are the checks of two keys.  Every list
+    in the result is a grid axis and must not be empty.
+    """
+    cfg = _config(args, load_scenario(args.scenario) if args.scenario else None)
     cfg["mode"] = _parse_modes(cfg["mode"], cfg["max_dd_us"])
     cfg["seeds"] = _parse_seeds(cfg["seeds"])
     if args.command == "probe":
@@ -248,6 +280,15 @@ def _common_grid_config(args: argparse.Namespace) -> dict:
     for tr in demands:
         if _tr_max(tr) > cfg["slots"]:
             raise ConfigError(f"demand {sim.label(tr)} exceeds {cfg['slots']} slots per link")
+    if args.command == "probe":
+        # the last probe follows arrival warm-up + (probes - 1) * spacing,
+        # which must be one of the run's requests
+        room = cfg["requests"] - int(cfg["requests"] * cfg["warmup"]) - 1
+        if (cfg["probes"] - 1) * cfg["spacing"] > room:
+            raise ConfigError(
+                f"bad probes {cfg['probes']}: expected at most {room // cfg['spacing'] + 1} "
+                f"after warm-up in {cfg['requests']} requests at spacing {cfg['spacing']}"
+            )
     return cfg
 
 
@@ -397,40 +438,27 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def _cast_flags(args: argparse.Namespace, casts: dict) -> None:
-    """Cast each named flag, read as text, in place; a bad value is a ConfigError."""
-    for key, cast in casts.items():
-        setattr(args, key, _cast(key, getattr(args, key), cast))
-
-
 def cmd_export_ilp(args) -> int:
-    _cast_flags(args, {"slots": int, "paths": int, "gb": int, "max_dd_us": float, "tr": int})
-    demand, slots, max_dd_us = args.tr, args.slots, args.max_dd_us
-    _check([
-        ("tr", [demand], lambda v: v >= 1, ">= 1"),
-        ("gb", [args.gb], lambda v: v >= 0, ">= 0"),
-        ("paths", [args.paths], lambda v: v >= 1, ">= 1"),
-        ("max_dd_us", [max_dd_us], lambda v: v >= 0, ">= 0"),
-        ("slots", [slots], lambda v: v >= 1, ">= 1"),
-    ])
-    max_dd_ps = int(round(max_dd_us * 1e6))
-    net = load_topology(_read_topology(args.topology), slots_per_link=slots)
-    fiber = FiberParams()
-    src = args.src or net.nodes[0]
-    dst = args.dst or net.nodes[-1]
+    cfg = _config(args)
+    demand, slots = cfg["tr"], cfg["slots"]
+    net = load_topology(_read_topology(cfg["topology"]), slots_per_link=slots)
+    src = cfg["src"] or net.nodes[0]
+    dst = cfg["dst"] or net.nodes[-1]
     if not net.has_node(src) or not net.has_node(dst):
         raise ConfigError(f"unknown node in pair ({src}, {dst})")
+    if src == dst:
+        raise ConfigError(f"bad pair ({src}, {dst}): source and destination must differ")
 
     def bad_tr(s, d, exc):  # every other input is checked above: tr exceeds |P|*|F|
         return ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}")
 
-    routes = cached_fiber_paths(net, src, dst, args.paths)
+    routes = cached_fiber_paths(net, src, dst, cfg["paths"])
     if not routes:
         raise ConfigError(f"no path from {src} to {dst}")
     try:
         model = ilp.build_model(
-            net, src, dst, demand, routes,
-            slots=slots, gb=args.gb, max_dd_ps=max_dd_ps, fiber_params=fiber,
+            net, src, dst, demand, routes, slots=slots, gb=cfg["gb"],
+            max_dd_ps=int(round(cfg["max_dd_us"] * 1e6)), fiber_params=FiberParams(),
         )
     except ilp.ModelError as exc:
         raise bad_tr(src, dst, exc) from exc
@@ -451,7 +479,7 @@ def cmd_export_ilp(args) -> int:
                 if s == d:
                     continue
                 pairs += 1
-                pr = cached_fiber_paths(net, s, d, args.paths)
+                pr = cached_fiber_paths(net, s, d, cfg["paths"])
                 if not pr:
                     continue
                 try:
@@ -460,55 +488,39 @@ def cmd_export_ilp(args) -> int:
                     raise bad_tr(s, d, exc) from exc
                 total_y += len(pr) * slots
         print(f"aggregate y variables over {pairs} node pairs: {total_y}")
-    if args.out:
-        _write_atomic(args.out, ilp.export_lp(model))
-        print(f"wrote {args.out}")
+    if cfg["out"]:
+        _write_atomic(cfg["out"], ilp.export_lp(model))
+        print(f"wrote {cfg['out']}")
     return 0
 
 
 def cmd_oracle_check(args) -> int:
-    counts = ("seed", "instances", "max_nodes", "slots", "max_demand", "k")
-    _cast_flags(args, dict.fromkeys(counts, int))
-    budget = oracle.OracleLimits()  # larger instances raise BudgetExceeded in the oracle
-    _check([
-        ("instances", [args.instances], lambda v: v >= 1, ">= 1"),
-        ("max_nodes", [args.max_nodes], lambda v: 3 <= v <= budget.max_nodes,
-         f"3 <= max_nodes <= {budget.max_nodes}"),
-        ("slots", [args.slots], lambda v: 1 <= v <= budget.max_slots,
-         f"1 <= slots <= {budget.max_slots}"),
-        ("max_demand", [args.max_demand], lambda v: v >= 1, ">= 1"),
-        # a tree-shaped instance has one route, so |P|*|F| can be slots
-        ("max_demand", [args.max_demand], lambda v: v <= args.slots,
-         f"max_demand <= slots ({args.slots})"),
-        ("k", [args.k], lambda v: v >= 1, ">= 1"),
-    ])
-    try:
-        failures = crossval.cross_validate(
-            args.seed,
-            args.instances,
-            max_nodes=args.max_nodes,
-            slots=args.slots,
-            max_demand=args.max_demand,
-            k=args.k,
+    cfg = _config(args)
+    sizes = {key: cfg[key] for key in ("max_nodes", "slots", "max_demand", "k")}
+    # a tree-shaped instance has one route, so |P|*|F| can be slots
+    if sizes["max_demand"] > sizes["slots"]:
+        raise ConfigError(
+            f"bad max_demand {sizes['max_demand']}: expected max_demand <= slots ({sizes['slots']})"
         )
+    try:
+        failures = crossval.cross_validate(cfg["seed"], cfg["instances"], **sizes)
     except oracle.BudgetExceeded as exc:  # no verdict, so not exit 1
         raise ConfigError(
-            f"oracle budget exceeded at max_nodes {args.max_nodes}, slots {args.slots}, "
-            f"max_demand {args.max_demand} ({exc}): lower one of them"
+            f"oracle budget exceeded at max_nodes {sizes['max_nodes']}, slots {sizes['slots']}, "
+            f"max_demand {sizes['max_demand']} ({exc}): lower one of them"
         ) from exc
     if failures:
         for f in failures:
             print(f"FAIL {f}")
-        print(f"{len(failures)} cross-validation failure(s) over {args.instances} instances")
+        print(f"{len(failures)} cross-validation failure(s) over {cfg['instances']} instances")
         return 1
-    print(f"all {args.instances} instances passed oracle/heuristic/checker cross-validation")
+    print(f"all {cfg['instances']} instances passed oracle/heuristic/checker cross-validation")
     return 0
 
 
 def cmd_topo_info(args) -> int:
-    _cast_flags(args, {"slots": int})
-    _check([("slots", [args.slots], lambda v: v >= 1, ">= 1")])
-    net = load_topology(_read_topology(args.topology), slots_per_link=args.slots)
+    cfg = _config(args)
+    net = load_topology(_read_topology(cfg["topology"]), slots_per_link=cfg["slots"])
     degrees = [len(net.outgoing(v)) for v in net.nodes]
     print(f"nodes: {len(net.nodes)}")
     print(f"directed arcs: {net.num_arcs}")
@@ -518,59 +530,25 @@ def cmd_topo_info(args) -> int:
     return 0
 
 
-def _add_grid_flags(p: argparse.ArgumentParser, command: str):
-    """``--scenario`` and one flag per ``GRID_KEYS`` row the command reads.
-
-    Every flag is read as text and cast by ``_common_grid_config``, as a
-    scenario value is, so a bad value gets the same message either way.
-    """
-    p.add_argument("--scenario", help="scenario file (key = value lines)")
-    for key, row in GRID_KEYS.items():
-        if row.command in (None, command):
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=row.help)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flexrsa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="run a simulation grid and write CSV metrics")
-    _add_grid_flags(p, "simulate")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("probe", help="probe admissibility against a live background")
-    _add_grid_flags(p, "probe")
-    p.set_defaults(fn=cmd_probe)
-
-    # numeric flags of the other commands are read as text too, and cast by
-    # the command, so a bad value gets the message a grid flag gets
-    p = sub.add_parser("export-ilp", help="build one request model and export LP text")
-    p.add_argument("--topology", default=GRID_KEYS["topology"].default)
-    p.add_argument("--slots", default=16)
-    p.add_argument("--paths", default=4, help="candidate paths |P|")
-    p.add_argument("--gb", default=0)
-    p.add_argument("--max-dd-us", dest="max_dd_us", default=M_US_PT1)
-    p.add_argument("--tr", default=4, help="demand slots")
-    p.add_argument("--src")
-    p.add_argument("--dst")
-    p.add_argument("--all-pairs", action="store_true", help="aggregate counts over all pairs")
-    p.add_argument("--out", help="LP output file")
-    p.set_defaults(fn=cmd_export_ilp)
-
-    p = sub.add_parser("oracle-check", help="cross-validate oracle/heuristic/checker")
-    p.add_argument("--seed", default=7)
-    p.add_argument("--instances", default=20)
-    p.add_argument("--max-nodes", dest="max_nodes", default=5)
-    p.add_argument("--slots", default=8)
-    p.add_argument("--max-demand", dest="max_demand", default=4)
-    p.add_argument("--k", default=4)
-    p.set_defaults(fn=cmd_oracle_check)
-
-    p = sub.add_parser("topo-info", help="show topology facts")
-    p.add_argument("--topology", default=GRID_KEYS["topology"].default)
-    p.add_argument("--slots", default=GRID_KEYS["slots"].default)
-    p.set_defaults(fn=cmd_topo_info)
-
+    for command, fn, summary in (
+        ("simulate", cmd_simulate, "run a simulation grid and write CSV metrics"),
+        ("probe", cmd_probe, "probe admissibility against a live background"),
+        ("export-ilp", cmd_export_ilp, "build one request model and export LP text"),
+        ("oracle-check", cmd_oracle_check, "cross-validate oracle/heuristic/checker"),
+        ("topo-info", cmd_topo_info, "show topology facts"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        p.set_defaults(fn=fn)
+        if fn in (cmd_simulate, cmd_probe):
+            p.add_argument("--scenario", help="scenario file (key = value lines)")
+        # every flag is read as text and cast by ``_config``, as a scenario value is
+        for key, row in KEYS[command].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=row.help)
+        if fn is cmd_export_ilp:
+            p.add_argument("--all-pairs", action="store_true", help="aggregate counts over all pairs")
     return parser
 
 

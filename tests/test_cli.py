@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -164,7 +165,9 @@ class TestSimulate:
     )
     def test_bad_number_in_scenario_rejected(self, tmp_path, capsys, key, value):
         scn = tmp_path / "s.scn"
-        scn.write_text(f"topology = us\ntr = 2\nload = 10\nseeds = 0..0\n{key} = {value}\n")
+        # a scenario sets each key once: the bad value replaces the base line
+        lines = {"topology": "us", "tr": "2", "load": "10", "seeds": "0..0", key: value}
+        scn.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
         assert rc == 2
         err = capsys.readouterr().err
@@ -390,6 +393,14 @@ class TestSimulate:
         assert rc == 0
         assert (tmp_path / "envout" / "metrics.csv").exists()
 
+    def test_duplicate_scenario_key_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text("topology = abilene\nk = 3\n# a comment\nk = 4\n")
+        rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {scn}:4: duplicate key 'k'\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_scenario_key(self, tmp_path, capsys):
         scn = tmp_path / "bad.scn"
         scn.write_text("frobnicate = 1\n")
@@ -606,6 +617,10 @@ class TestProbeCommand:
             (["--gb", "-1"], "bad gb -1: expected >= 0"),
             (["--slots", "0"], "bad slots 0: expected >= 1"),
             (["--k", "0"], "bad k 0: expected >= 1"),
+            # the last probe must follow one of the run's arrivals
+            (["--requests", "400", "--probes", "16"],
+             "bad probes 16: expected at most 15 after warm-up in 400 requests at spacing 25"),
+            (["--requests", "400", "--probes", "1000"], "bad probes 1000: expected at most 15"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
@@ -725,6 +740,19 @@ class TestProbeCommand:
         assert f"demand {demand} exceeds 16 slots per link" in err
         assert not (tmp_path / "p" / "probe.csv").exists()
 
+    def test_probes_filling_the_run_accepted(self, tmp_path):
+        # 400 requests, 40 of them warm-up: the 15th probe follows arrival
+        # 40 + 14 * 25 = 390, and a 16th would follow arrival 415
+        out = tmp_path / "p"
+        rc = main(
+            ["probe", "--topology", "abilene", "--slots", "16", "--k", "3", "--load", "10",
+             "--seeds", "0..0", "--requests", "400", "--probes", "15", "--spacing", "25",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        (row,) = csv.DictReader((out / "probe.csv").open())
+        assert row["probes"] == "15"
+
     def test_empty_grid_rejected(self, tmp_path, capsys):
         rc = main(
             ["probe", "--topology", "us", "--slots", "16", "--k", "5", "--load", "30",
@@ -737,23 +765,23 @@ class TestProbeCommand:
 
 
 class TestGridKeys:
-    """Every simulate/probe key is one ``cli.GRID_KEYS`` row: its flag and its scenario line agree."""
+    """Every simulate/probe key is one ``cli.KEYS`` row: its flag and its scenario line agree."""
 
     # a valid value other than the default, per key
     SAMPLE = {
         "topology": "abilene", "slots": "64", "max_dd_us": "300", "mode": "st,pt2",
         "k": "2,5", "gb": "1,2", "tr": "1-3,4", "load": "12.5,30", "seeds": "1..3",
-        "requests": "77", "warmup": "0.25", "dispersion": "16", "fc_thz": "194",
+        "requests": "7777", "warmup": "0.25", "dispersion": "16", "fc_thz": "194",
         "slot_ghz": "12.5", "speed_kms": "190000", "jobs": "3", "out": "elsewhere",
         "bg_tr": "2-3", "probe_tr": "3", "probes": "7", "spacing": "9",
     }
 
     @pytest.mark.parametrize("command", ["simulate", "probe"])
     def test_flag_and_scenario_line_give_the_same_config(self, tmp_path, command):
-        assert set(self.SAMPLE) == set(cli.GRID_KEYS)
+        assert set(self.SAMPLE) == set(cli.KEYS["simulate"]) | set(cli.KEYS["probe"])
         parser = cli.build_parser()
         default = cli._common_grid_config(parser.parse_args([command]))
-        keys = [k for k, row in cli.GRID_KEYS.items() if row.command in (None, command)]
+        keys = list(cli.KEYS[command])
         assert set(keys) <= set(default)
         for key in keys:
             value = self.SAMPLE[key]
@@ -779,6 +807,48 @@ class TestGridKeys:
         assert main([command, "--scenario", str(scn), "--out", str(out)]) == 2
         assert "unknown scenario keys: ['arrival_rate']" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCommandKeys:
+    """Every command's flags are its ``cli.KEYS`` rows, and each reaches the config."""
+
+    # a valid value other than the default, per key of the commands without scenarios
+    SAMPLE = {
+        "export-ilp": {
+            "topology": "abilene", "slots": "32", "paths": "3", "gb": "1", "max_dd_us": "300",
+            "tr": "5", "src": "Denver", "dst": "Houston", "out": "m.lp",
+        },
+        "oracle-check": {
+            "seed": "3", "instances": "5", "max_nodes": "4", "slots": "12", "max_demand": "3",
+            "k": "2",
+        },
+        "topo-info": {"topology": "abilene", "slots": "64"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(SAMPLE))
+    def test_flag_reaches_the_config(self, command):
+        assert set(self.SAMPLE[command]) == set(cli.KEYS[command])
+        parser = cli.build_parser()
+        default = cli._config(parser.parse_args([command]))
+        for key, row in cli.KEYS[command].items():
+            value = self.SAMPLE[command][key]
+            cfg = cli._config(parser.parse_args([command, "--" + key.replace("_", "-"), value]))
+            assert cfg[key] == (row.cast or str)(value) != default[key], key
+            assert {k: v for k, v in cfg.items() if k != key} == {
+                k: v for k, v in default.items() if k != key
+            }, key
+
+    @pytest.mark.parametrize("command", ["simulate", "probe", "export-ilp", "oracle-check",
+                                         "topo-info"])
+    def test_help_lists_one_flag_per_row(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        flags = re.findall(r"^\s+(?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+        extra = {"simulate": ["--scenario"], "probe": ["--scenario"],
+                 "export-ilp": ["--all-pairs"]}.get(command, [])
+        rows = ["--" + key.replace("_", "-") for key in cli.KEYS[command]]
+        assert sorted(flags) == sorted(["--help", *extra, *rows])
 
 
 class TestExportIlp:
@@ -840,6 +910,10 @@ class TestExportIlp:
             (["--slots", "0"], "bad slots 0: expected >= 1"),
             # numeric flags are read as text and cast by the command
             (["--slots", "1.5"], "bad slots '1.5': expected int"),
+            (["--src", "Seattle", "--dst", "Seattle"],
+             "bad pair (Seattle, Seattle): source and destination must differ"),
+            # the default source is the first node
+            (["--dst", "Seattle"], "bad pair (Seattle, Seattle)"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
