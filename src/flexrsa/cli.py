@@ -382,10 +382,10 @@ def _run_grid(net: Network, cells: list[dict], worker, jobs: int) -> list:
     Under ``jobs == 1`` cells run grouped by traffic, the groups in order of
     first appearance and each in descending K: the network's draw memo draws
     each traffic once, and since every group holds every K, the first cell
-    has the grid's largest K, so each pair's routes are enumerated once, at
-    that K, and every smaller K reads that table's prefix.  Under
+    has the grid's largest K, so each fiber pair is searched at most once,
+    at that K, and every smaller K reads that table's prefix.  Under
     ``jobs > 1`` cells run in descending K, so each worker process
-    enumerates a pair at the largest K it meets; each receives the network
+    searches a pair at the largest K it meets; each receives the network
     once, through the pool's initializer, and cells travel without it; no
     more workers start than there are cells.
     """

@@ -1,33 +1,40 @@
 """Two-phase RSA: min-delay multipath enumeration, then spectrum assignment.
 
 Phase 1 enumerates loop-free paths in nondecreasing delay order (ties broken
-by the node sequence, then arc ids) until K complete paths are found.  The
-search is goal-directed best-first (A*): one reverse Dijkstra gives every
-node's exact min delay to the destination, a prefix is ranked by its delay
-plus that bound, and prefixes that cannot reach the destination are never
-grown.  The bound is consistent and 0 at the destination, and every prefix
-of a path ranks strictly before the path itself, so complete paths pop in
-exactly the (delay, nodes, arc ids) order of a plain best-first search; only
-prefixes ranked before the K-th path are grown.  The bound depends on the
-destination alone, so each destination's reverse Dijkstra runs once per
-``Network``; its ``bound_memo`` keeps the result as a table of the arcs onward
-from every node that reaches the destination, each with its ranking delay.
+by the node sequence, then arc ids).  The search is goal-directed best-first
+(A*): one reverse Dijkstra gives every node's exact min delay to the
+destination, a prefix is ranked by its delay plus that bound, and prefixes
+that cannot reach the destination are never grown.  The bound is consistent
+and 0 at the destination, and every prefix of a path ranks strictly before
+the path itself, so complete paths pop in exactly the (delay, nodes, arc ids)
+order of a plain best-first search; only prefixes ranked before the last
+path popped are grown.  The bound depends on the destination alone, so each
+destination's reverse Dijkstra runs once per ``Network``; its ``bound_memo``
+keeps the result as a table of the arcs onward from every node that reaches
+the destination, each with its ranking delay.
 
-Routes depend on the network alone, so :func:`cached_fiber_paths` memoizes
-them in the ``Network``'s ``route_memo``, one table per (source, destination).
-Complete paths pop in one total order, so the first k paths of a K-path
-enumeration (k <= K) are exactly the k-path enumeration: a table serves every
-smaller K from a prefix, a larger K re-enumerates and replaces it, and a pair
-with fewer paths than its table's K is never enumerated again.
+Routes depend on the network alone, so they are kept in the ``Network``'s
+``route_memo``, one table per (source, destination), and found on demand:
+each fiber pair has one resumable search, and a table grows only when a
+reader passes its end.  :func:`pair_routes` gives ``serve`` and the probes of
+``sim.probe_run`` a view that grows the table, in batches that double up to
+K, only as far as the scan of :func:`assign_spectrum` reads; a scan that hits
+at the first route searches for one path.  Complete paths pop in one total
+order, so every read sees a prefix of the K-path enumeration, whatever was
+read before.  A search is dropped once it is settled at the largest K asked
+(past the run of paths tied with its K-th): a smaller K reads a prefix, a
+larger K searches the pair again, and a pair with fewer paths than asked is
+never searched again.  :func:`compute_fiber_paths` runs the same search to K
+at once, and :func:`cached_fiber_paths` grows a table to K at once.
 
 On a twinned network (arc 2k+1 is arc 2k reversed, with the same delay, as in
-every loaded topology) each fiber pair is searched once.  Twin rule: the
-paths d -> s are the paths s -> d reversed onto the twin arcs (``id ^ 1``),
-with the same delays, so a table d -> s that covers K gives the table s -> d
-without a search; only runs of equal delay change order, and each is
-re-sorted by (nodes, arc ids).  Tie rule: a search there goes on past its
-K-th path while the frontier can still give a path just as slow, so the
-table holds every path tied with the K-th and the reversed order is exact.
+every loaded topology) both directions of a fiber pair share one search.
+Twin rule: the paths d -> s are the paths s -> d reversed onto the twin arcs
+(``id ^ 1``), with the same delays, so only runs of equal delay change order,
+and each is re-sorted by (nodes, arc ids).  Tie rule: the unsearched
+direction takes only complete runs.  A run is complete once the frontier can
+give no path as fast; a read there goes on past its last route while a path
+just as slow can still come, so the reversed order is exact.
 
 Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
@@ -51,9 +58,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter, itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .physics import FiberParams, gvd_differential_delay_ps
 from .spectrum import SlotRange, SpectrumPath, SpectrumState, runs
@@ -168,100 +175,239 @@ def _search_table(net: Network, destination: str) -> tuple[dict[str, int], dict[
     return bound, onward
 
 
+class _Search:
+    """One resumable search from ``source`` to ``destination``.
+
+    ``found`` holds the complete paths popped so far, in their final order;
+    ``frontier`` the prefixes not yet grown: ``[]`` once every path is found,
+    ``None`` once the search is dropped (see :class:`_RouteTable`).  ``k`` is
+    the largest K asked of the pair.  Holds the arcs and the destination's
+    bound table, never the network.
+    """
+
+    __slots__ = ("destination", "onward", "links", "k", "frontier", "found")
+
+    def __init__(self, net: Network, source: str, destination: str, k: int):
+        if not net.has_node(source):
+            raise ValueError(f"unknown source {source!r}")
+        if not net.has_node(destination):
+            raise ValueError(f"unknown destination {destination!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        table = net.bound_memo.get(destination)
+        if table is None:  # the first search towards this destination
+            table = net.bound_memo[destination] = _search_table(net, destination)
+        bound, self.onward = table
+        self.destination = destination
+        self.links = net.links
+        self.k = k
+        # heap key: (delay + bound at head, node sequence, arc-id sequence);
+        # payload: delay so far.  Keys are unique, so payloads never compare.
+        self.frontier: list | None = [(bound[source], (source,), (), 0)] if source in bound else []
+        self.found: list[Route] = []
+
+    def run(self, want: int, ties: bool, stats: dict | None) -> None:
+        """Pop paths until ``want`` are found or none is left.
+
+        With ``ties``, go on while the frontier can still give a path as
+        slow as the ``want``-th, so every path tied with it is found too.
+        """
+        frontier = self.frontier
+        if frontier is None:
+            return
+        found = self.found
+        last = None  # with ties: the want-th path's delay, past which nothing is popped
+        if len(found) >= want:
+            if not ties:
+                return
+            last = found[want - 1].delay_ps
+        destination, onward = self.destination, self.onward
+        arc = self.links.__getitem__
+        push, pop = heapq.heappush, heapq.heappop
+        expansions = 0
+        while frontier:
+            if last is not None and frontier[0][0] > last:
+                break
+            _key, nodes, arc_ids, delay = pop(frontier)
+            expansions += 1
+            head = nodes[-1]
+            if head == destination:
+                found.append(Route(tuple(map(arc, arc_ids)), nodes, delay))
+                if len(found) == want:
+                    if not ties:
+                        break
+                    last = delay
+                continue
+            for nxt, step, ranked, arc_id in onward[head]:
+                if nxt not in nodes:
+                    push(frontier, (delay + ranked, nodes + (nxt,), arc_ids + (arc_id,), delay + step))
+        if stats is not None:
+            stats["phase1_expansions"] = stats.get("phase1_expansions", 0) + expansions
+
+
 def compute_fiber_paths(
     net: Network,
     source: str,
     destination: str,
     k: int,
     stats: dict | None = None,
-    *,
-    ties: bool = False,
 ) -> list[Route]:
     """Up to ``k`` loop-free paths in nondecreasing delay order.
 
     Deterministic: equal-delay paths order by node sequence, then arc ids
-    (parallel arcs).  Returns fewer than ``k`` only when fewer exist.  With
-    ``ties``, every path as slow as the k-th follows it, so more may come.
+    (parallel arcs).  Returns fewer than ``k`` only when fewer exist.
     """
-    if not net.has_node(source):
-        raise ValueError(f"unknown source {source!r}")
-    if not net.has_node(destination):
-        raise ValueError(f"unknown destination {destination!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-
-    table = net.bound_memo.get(destination)
-    if table is None:  # the first search towards this destination
-        table = net.bound_memo[destination] = _search_table(net, destination)
-    bound, onward = table
-    arc = net.links.__getitem__
-    push, pop = heapq.heappush, heapq.heappop
-    found: list[Route] = []
-    expansions = 0
-    # heap key: (delay + bound at head, node sequence, arc-id sequence);
-    # payload: delay so far.  Keys are unique, so payloads never compare.
-    frontier: list[tuple[int, tuple[str, ...], tuple[int, ...], int]] = (
-        [(bound[source], (source,), (), 0)] if source in bound else []
-    )
-    last = None  # with ties: the k-th path's delay, past which nothing is popped
-    while frontier:
-        if last is not None and frontier[0][0] > last:
-            break
-        _key, nodes, arc_ids, delay = pop(frontier)
-        expansions += 1
-        head = nodes[-1]
-        if head == destination:
-            found.append(Route(tuple(map(arc, arc_ids)), nodes, delay))
-            if len(found) == k:
-                if not ties:
-                    break
-                last = delay
-            continue
-        for nxt, step, ranked, arc_id in onward[head]:
-            if nxt not in nodes:
-                push(frontier, (delay + ranked, nodes + (nxt,), arc_ids + (arc_id,), delay + step))
-    if stats is not None:
-        stats["phase1_expansions"] = stats.get("phase1_expansions", 0) + expansions
-    return found
-
-
-class _RouteTable(NamedTuple):
-    """One pair's routes: the enumeration asked at ``k`` and the prefixes served by K.
-
-    ``routes`` may run past ``k`` with paths tied with the k-th; fewer than
-    ``k`` means the pair has no more.
-    """
-
-    k: int
-    routes: tuple[Route, ...]
-    prefixes: dict[int, tuple[Route, ...]]
-
-    def covers(self, k: int) -> bool:
-        return k <= len(self.routes) or len(self.routes) < self.k
+    search = _Search(net, source, destination, k)
+    search.run(k, False, stats)
+    return search.found
 
 
 def _route_order(route: Route) -> tuple:
     return route.nodes, tuple(a.id for a in route.arcs)
 
 
-def _twin_table(net: Network, table: _RouteTable) -> _RouteTable:
-    """The reverse pair's table: each route on its twin arcs (id ^ 1), backwards.
+class _RouteTable:
+    """One direction's routes, grown from its fiber pair's search as far as they are read.
 
-    A twin route keeps its delay, so only equal-delay runs can change order;
-    each is re-sorted by node sequence, then arc ids.
+    The searched direction's ``routes`` is the search's ``found``.  The twin
+    direction takes only complete equal-delay runs: a run is complete once
+    the frontier can give no path as fast, and its routes are reversed onto
+    the twin arcs (id ^ 1) and re-sorted by node sequence, then arc ids.
+    Once a growth reaches the search's K, the search also finds the paths
+    tied with the K-th and is dropped: both directions then hold all K
+    routes, and only a larger K searches the pair again.
     """
-    arc = net.links
-    flipped = [
-        Route(tuple([arc[a.id ^ 1] for a in reversed(r.arcs)]), r.nodes[::-1], r.delay_ps)
-        for r in table.routes
-    ]
-    routes: list[Route] = []
-    for _delay, run in groupby(flipped, attrgetter("delay_ps")):
-        run = list(run)
-        if len(run) > 1:
-            run.sort(key=_route_order)
-        routes += run
-    return _RouteTable(table.k, tuple(routes), {})
+
+    __slots__ = ("search", "routes", "prefixes")
+
+    def __init__(self, search: _Search, twin: bool):
+        self.search = search
+        self.routes: list[Route] = [] if twin else search.found
+        self.prefixes: dict[int, tuple[Route, ...]] = {}
+
+    def covers(self, k: int) -> bool:
+        search = self.search
+        return k <= len(self.routes) or (search.frontier == [] and len(self.routes) == len(search.found))
+
+    def grow(self, n: int, stats: dict | None) -> None:
+        """Hold at least ``n`` routes, or every route the pair has."""
+        search, routes = self.search, self.routes
+        found = search.found
+        twin = routes is not found
+        search.run(n, twin or n >= search.k, stats)
+        frontier = search.frontier
+        if n >= search.k and frontier:
+            search.frontier = frontier = None  # settled: past the K-th path's tied run
+        if twin:
+            start, end = len(routes), len(found)
+            if frontier:  # a run as slow as the frontier's best may still grow
+                slowest = frontier[0][0]
+                while end > start and found[end - 1].delay_ps >= slowest:
+                    end -= 1
+            arc = search.links
+            flipped = [
+                Route(tuple([arc[a.id ^ 1] for a in reversed(r.arcs)]), r.nodes[::-1], r.delay_ps)
+                for r in found[start:end]
+            ]
+            for _delay, run in groupby(flipped, attrgetter("delay_ps")):
+                run = list(run)
+                if len(run) > 1:
+                    run.sort(key=_route_order)
+                routes += run
+
+    def prefix(self, k: int, stats: dict | None) -> tuple[Route, ...]:
+        """The first ``k`` routes, grown if need be and sliced once."""
+        routes = self.prefixes.get(k)
+        if routes is None:
+            if not self.covers(k):
+                self.grow(k, stats)
+            routes = self.prefixes[k] = tuple(self.routes[:k])
+        return routes
+
+
+class _RouteView:
+    """The first ``k`` routes of a table that does not hold them yet.
+
+    Reading grows the table in batches that double, up to ``k``, only when
+    the reader passes its end; a read to the end leaves the plain prefix in
+    the table for later callers.  An index or a bounded slice reads the
+    routes read so far.
+    """
+
+    __slots__ = ("table", "k")
+
+    def __init__(self, table: _RouteTable, k: int):
+        self.table = table
+        self.k = k
+
+    def read(self, stats: dict | None = None):
+        routes = self.table.routes
+        have = min(len(routes), self.k)
+        return chain(routes[:have], chain.from_iterable(self._batches(have, stats)))
+
+    __iter__ = read
+
+    def _batches(self, have: int, stats: dict | None):
+        """The routes past the first ``have``, a grown batch at a time."""
+        table, k = self.table, self.k
+        routes = table.routes
+        while have < k:
+            table.grow(min(2 * have or 1, k), stats)
+            n = min(len(routes), k)
+            if n == have:  # the pair has no more routes
+                break
+            yield routes[have:n]
+            have = n
+        table.prefixes[k] = tuple(routes[:k])
+
+    def __getitem__(self, index):
+        return self.table.routes[index]
+
+
+def _route_table(net: Network, source: str, destination: str, k: int) -> _RouteTable:
+    """The pair's table in ``net.route_memo``, able to grow to ``k`` routes."""
+    memo = net.route_memo
+    pair = (source, destination)
+    table = memo.get(pair)
+    if table is None and net.twinned:
+        twin = memo.get((destination, source))
+        if twin is not None:
+            table = memo[pair] = _RouteTable(twin.search, True)
+    if table is not None:
+        search = table.search
+        if search.frontier:
+            if k > search.k:
+                search.k = k
+            return table
+        if k <= len(search.found) or search.frontier == []:
+            return table
+    return _start_search(net, source, destination, k)
+
+
+def _start_search(net: Network, source: str, destination: str, k: int) -> _RouteTable:
+    """A new search of the pair at ``k``; its table replaces the pair's and its twin's."""
+    memo = net.route_memo
+    table = memo[source, destination] = _RouteTable(_Search(net, source, destination, k), False)
+    if net.twinned:
+        memo.pop((destination, source), None)  # its next read derives a table from this search
+    return table
+
+
+def pair_routes(net: Network, source: str, destination: str, k: int) -> Sequence[Route]:
+    """The pair's first ``k`` routes from ``net.route_memo``, searched only as far as read.
+
+    A tuple when the pair's table holds them; otherwise a view that grows
+    the table as a reader iterates it (see :func:`assign_spectrum`).
+    """
+    table = net.route_memo.get((source, destination))
+    if table is not None:
+        routes = table.prefixes.get(k)
+        if routes is not None:
+            return routes
+    table = _route_table(net, source, destination, k)
+    if table.covers(k):
+        return table.prefix(k, None)
+    return _RouteView(table, k)  # never kept in the table, which it refers to
 
 
 def cached_fiber_paths(
@@ -275,12 +421,8 @@ def cached_fiber_paths(
     """:func:`compute_fiber_paths`, memoized in ``cache`` or else in ``net.route_memo``.
 
     A caller's ``cache`` is keyed by (source, destination, k).  ``net.route_memo``
-    holds one table per (source, destination): a K it already covers is a
-    prefix of the table, sliced once.  On a twinned network (see
-    ``Network.twinned``) a table the pair lacks or that is too short is
-    derived from its reverse pair's table when that one covers K, and a
-    search keeps the paths tied with the K-th, so the derived order is
-    exact; any other K enumerates the pair.  Routes are tuples, because
+    holds one table per (source, destination), grown as :func:`pair_routes`
+    reads it; here it is grown to ``k`` at once.  Routes are tuples, because
     every later caller shares them.
     """
     if cache is not None:
@@ -288,24 +430,7 @@ def cached_fiber_paths(
         if key not in cache:
             cache[key] = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
         return cache[key]
-    memo = net.route_memo
-    pair = (source, destination)
-    table = memo.get(pair)
-    if table is not None:
-        routes = table.prefixes.get(k)
-        if routes is not None:
-            return routes
-    if table is None or not table.covers(k):
-        twinned = net.twinned
-        twin = memo.get((destination, source)) if twinned else None
-        if twin is not None and twin.covers(k):
-            table = _twin_table(net, twin)
-        else:
-            found = compute_fiber_paths(net, source, destination, k, stats=stats, ties=twinned)
-            table = _RouteTable(k, tuple(found), {})
-        memo[pair] = table
-    routes = table.prefixes[k] = table.routes[:k]
-    return routes
+    return _route_table(net, source, destination, k).prefix(k, stats)
 
 
 def assign_spectrum(
@@ -321,11 +446,13 @@ def assign_spectrum(
     the first path (in delay order) that can hold it.  Step 2 (pt only)
     aggregates fragments across paths under the differential-delay bound,
     trimming the last band so the total matches the demand exactly.  Returns
-    None when blocked.
+    None when blocked.  A :func:`pair_routes` view is searched only as far
+    as the scan reads it, and its expansions count in ``stats``.
     """
     gb = policy.gb
     demand = req.demand_slots
-    hit, masks = state.scan((route.arcs for route in routes), gb, demand)
+    reading = routes.read(stats) if type(routes) is _RouteView else routes
+    hit, masks = state.scan((route.arcs for route in reading), gb, demand)
     if stats is not None:
         read = routes if hit is None else routes[: hit + 1]
         stats["phase2_slot_inspections"] = stats.get("phase2_slot_inspections", 0) + (
@@ -387,7 +514,10 @@ def serve(
     stats: dict | None = None,
 ) -> Solution | None:
     """Route, assign and atomically allocate one request; None when blocked."""
-    routes = cached_fiber_paths(net, req.source, req.destination, policy.k, path_cache, stats)
+    if path_cache is None:
+        routes = pair_routes(net, req.source, req.destination, policy.k)
+    else:
+        routes = cached_fiber_paths(net, req.source, req.destination, policy.k, path_cache, stats)
     plan = assign_spectrum(state, routes, req, policy, stats=stats)
     if plan is None:
         return None

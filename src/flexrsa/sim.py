@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Callable, Sequence
 
-from .heuristic import PolicyParams, Request, assign_spectrum, cached_fiber_paths, serve
+from .heuristic import PolicyParams, Request, assign_spectrum, pair_routes, serve
 from .physics import FiberParams
 from .spectrum import SpectrumState
 from .topology import Network
@@ -279,7 +279,7 @@ def probe_run(
             return
         src, dst = pairs[probe_pairs.randrange(len(pairs))]
         req = Request(src, dst, probe_demand_rng.randint(*probe_demand))
-        routes = cached_fiber_paths(net, src, dst, policy.k)
+        routes = pair_routes(net, src, dst, policy.k)
         done += 1
         if assign_spectrum(state, routes, req, policy) is None:
             blocked += 1

@@ -90,12 +90,12 @@ class Network:
     def route_memo(self) -> dict:
         """Derived routes, one table per (source, destination); out of equality, hash and repr.
 
-        ``heuristic.cached_fiber_paths`` keeps here, per pair, its longest
-        enumeration, the K it was made at and the shorter prefixes served.
-        On a ``twinned`` network a pair's table may be derived from its
-        reverse pair's: each route reversed onto the twin arcs, with only
-        equal-delay runs re-sorted.  That is exact because every search there
-        also keeps the paths tied in delay with its K-th.
+        ``heuristic`` keeps here, per pair, the routes its resumable search
+        has found so far, grown only as far as a scan reads them, and the
+        prefixes served.  On a ``twinned`` network both directions of a
+        fiber pair share one search: the other direction takes its complete
+        equal-delay runs, each route reversed onto the twin arcs, and only
+        those runs re-sorted.  No entry refers back to the network.
         """
         return {}
 

@@ -1,10 +1,12 @@
 import concurrent.futures
 import csv
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from functools import partial
 from hashlib import sha256
@@ -279,18 +281,18 @@ class TestSimulate:
         # from the other's routes
         parses = []
         enumerations = Counter()
-        parse, enumerate_paths = cli.load_topology, heuristic.compute_fiber_paths
+        parse, start = cli.load_topology, heuristic._start_search
 
         def counted_parse(*args, **kwargs):
             parses.append(args)
             return parse(*args, **kwargs)
 
-        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+        def counted_start(net, source, destination, k):
             enumerations[frozenset((source, destination)), k] += 1
-            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
+            return start(net, source, destination, k)
 
         monkeypatch.setattr(cli, "load_topology", counted_parse)
-        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        monkeypatch.setattr(heuristic, "_start_search", counted_start)
         rc = main(
             ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
              "--k", "4", "--tr", "1-4", "--load", "30", "--seeds", "0..1",
@@ -300,20 +302,44 @@ class TestSimulate:
         assert len(parses) == 1
         assert enumerations and max(enumerations.values()) == 1
 
+    def test_grid_frees_its_network(self, tmp_path, monkeypatch):
+        # the grid's network, with its route memo, goes when main returns,
+        # without the cycle collector
+        networks = []
+        parse = cli.load_topology
+
+        def kept(*args, **kwargs):
+            net = parse(*args, **kwargs)
+            networks.append(weakref.ref(net))
+            return net
+
+        monkeypatch.setattr(cli, "load_topology", kept)
+        gc.disable()
+        try:
+            rc = main(
+                ["simulate", "--topology", "us", "--slots", "16", "--mode", "st,pt1",
+                 "--k", "4,8", "--tr", "1-4", "--load", "30", "--seeds", "0..1",
+                 "--requests", "250", "--jobs", "1", "--out", str(tmp_path / "o")]
+            )
+            assert rc == 0
+            assert len(networks) == 1 and networks[0]() is None
+        finally:
+            gc.enable()
+
     def test_multi_k_grid_enumerates_each_pair_once(self, tmp_path, monkeypatch):
         # cells run in descending K: every fiber pair is enumerated once, in
         # one direction, at the largest K, and the K=4 cells read that table's
         # prefix or its reverse
         enumerations = Counter()
         ks = set()
-        enumerate_paths = heuristic.compute_fiber_paths
+        start = heuristic._start_search
 
-        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+        def counted_start(net, source, destination, k):
             enumerations[frozenset((source, destination))] += 1
             ks.add(k)
-            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
+            return start(net, source, destination, k)
 
-        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        monkeypatch.setattr(heuristic, "_start_search", counted_start)
         rc = main(
             ["simulate", "--topology", "abilene", "--slots", "16", "--mode", "st,pt1",
              "--k", "4,8", "--tr", "1-4", "--load", "30", "--seeds", "0..1",
@@ -338,19 +364,19 @@ class TestSimulate:
         drawn = []
         enumerations = Counter()
         ks = set()
-        draw, enumerate_paths = sim._draw, heuristic.compute_fiber_paths
+        draw, start = sim._draw, heuristic._start_search
 
         def counted_draw(net, traffic, count=None):
             drawn.append(traffic.seed)
             return draw(net, traffic, count)
 
-        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+        def counted_start(net, source, destination, k):
             enumerations[frozenset((source, destination))] += 1
             ks.add(k)
-            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
+            return start(net, source, destination, k)
 
         monkeypatch.setattr(sim, "_draw", counted_draw)
-        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        monkeypatch.setattr(heuristic, "_start_search", counted_start)
         rc = main(argv + ["--topology", "abilene", "--slots", "16", "--load", "30",
                           "--requests", "250", "--jobs", "1", "--out", str(tmp_path / "o")])
         assert rc == 0
@@ -869,13 +895,13 @@ class TestExportIlp:
 
     def test_all_pairs_searches_each_fiber_pair_once(self, tmp_path, monkeypatch, capsys):
         searched = []
-        enumerate_paths = heuristic.compute_fiber_paths
+        start = heuristic._start_search
 
-        def counted_enumerate(net, source, destination, k, stats=None, **kwargs):
+        def counted_start(net, source, destination, k):
             searched.append(frozenset((source, destination)))
-            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
+            return start(net, source, destination, k)
 
-        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted_enumerate)
+        monkeypatch.setattr(heuristic, "_start_search", counted_start)
         topo = circulant_15(tmp_path)
         assert main(["export-ilp", "--topology", topo, "--slots", "16", "--paths", "4",
                      "--all-pairs"]) == 0

@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 import random
+from itertools import islice
 from importlib import resources
 from pathlib import Path
 
@@ -165,14 +166,15 @@ class TestRouteTable:
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
+        # every search a route table starts, as (source, destination, k)
         calls = []
-        enumerate_paths = heuristic.compute_fiber_paths
+        start = heuristic._start_search
 
-        def counted(net, source, destination, k, stats=None, **kwargs):
+        def counted(net, source, destination, k):
             calls.append((source, destination, k))
-            return enumerate_paths(net, source, destination, k, stats=stats, **kwargs)
+            return start(net, source, destination, k)
 
-        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted)
+        monkeypatch.setattr(heuristic, "_start_search", counted)
         return calls
 
     def test_smaller_k_is_a_prefix_and_enumerates_nothing(self, enumerations):
@@ -242,6 +244,23 @@ class TestRouteTable:
         assert len(net.route_memo["S", "D"].routes) == 3
         assert enumerations == [("S", "D", 2)]
 
+    def test_a_twin_read_takes_only_complete_runs(self, enumerations):
+        # the same net: a forward read of two routes stops inside the tied
+        # run, so the reverse read takes D-S alone until the run is complete
+        net = make_net(
+            [("S", "D", 100), ("S", "A", 100), ("A", "Y", 100), ("Y", "D", 100),
+             ("S", "B", 100), ("B", "X", 100), ("X", "D", 100)],
+            slots=4,
+        )
+        forward = heuristic.pair_routes(net, "S", "D", 3)
+        assert [r.nodes for r in islice(forward, 2)] == [("S", "D"), ("S", "A", "Y", "D")]
+        backward = heuristic.pair_routes(net, "D", "S", 3)
+        assert [r.nodes for r in islice(backward, 1)] == [("D", "S")]
+        assert net.route_memo["D", "S"].routes == [backward[0]]
+        assert [r.nodes for r in backward] == [("D", "S"), ("D", "X", "B", "S"), ("D", "Y", "A", "S")]
+        assert list(backward) == compute_fiber_paths(net, "D", "S", 3)
+        assert enumerations == [("S", "D", 3)]
+
     @pytest.mark.parametrize(
         "links",
         [
@@ -262,6 +281,23 @@ class TestRouteTable:
             routes = heuristic.cached_fiber_paths(net, s, d, 3)
             assert list(routes) == compute_fiber_paths(net, s, d, 3)
         assert enumerations == [("A", "C", 3), ("C", "A", 3), ("B", "C", 3), ("C", "B", 3)]
+
+    def test_a_settled_search_holds_no_frontier(self):
+        net = load_topology(US_TEXT, slots_per_link=16)
+        heuristic.cached_fiber_paths(net, "Seattle", "Atlanta", 10)
+        assert net.route_memo["Seattle", "Atlanta"].search.frontier is None
+        # a scan that stops early keeps the search; a read to K settles it
+        routes = heuristic.pair_routes(net, "Miami", "Boston", 30)
+        assert next(iter(routes)) == compute_fiber_paths(US_NET, "Miami", "Boston", 1)[0]
+        search = net.route_memo["Miami", "Boston"].search
+        assert search.frontier
+        assert list(routes) == compute_fiber_paths(US_NET, "Miami", "Boston", 30)
+        assert search.frontier is None
+        # the read left the plain prefix for later callers
+        assert heuristic.pair_routes(net, "Miami", "Boston", 30) == tuple(routes)
+        back = heuristic.pair_routes(net, "Boston", "Miami", 30)
+        assert list(back) == compute_fiber_paths(US_NET, "Boston", "Miami", 30)
+        assert net.route_memo["Boston", "Miami"].search is search
 
     def test_reverse_dijkstra_runs_once_per_destination(self, monkeypatch):
         runs = []
@@ -306,6 +342,42 @@ def test_route_memo_matches_a_search_of_every_ordered_pair(net, data):
         want = compute_fiber_paths(net, s, d, k)
         assert list(routes) == want
         assert [r.arc_mask for r in routes] == [r.arc_mask for r in want]
+
+
+def _assert_prefix(seen, want):
+    assert seen == want
+    assert [r.arc_mask for r in seen] == [r.arc_mask for r in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=_twinned_multigraph(), data=st.data())
+def test_partial_reads_see_the_search_prefix(net, data):
+    # reads of one or two fiber pairs, in either direction, at random K, each
+    # stopping at a random depth as a scan that hits early does; a whole read
+    # settles the pair's search at its K, and a larger K may follow
+    pairs = [(s, d) for s in net.nodes for d in net.nodes if s != d]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2))
+    for _ in range(data.draw(st.integers(1, 20))):
+        s, d = data.draw(st.sampled_from(chosen))
+        if data.draw(st.booleans()):
+            s, d = d, s
+        k = data.draw(st.integers(1, 8))
+        want = compute_fiber_paths(net, s, d, k)
+        if data.draw(st.booleans()):
+            _assert_prefix(list(heuristic.cached_fiber_paths(net, s, d, k)), want)
+            continue
+        routes = heuristic.pair_routes(net, s, d, k)
+        depth = data.draw(st.integers(0, k))
+        seen = list(islice(routes, depth))
+        _assert_prefix(seen, want[:depth])
+        assert [routes[i] for i in range(len(seen))] == seen
+    # a larger K after a settled table
+    s, d = data.draw(st.sampled_from(pairs))
+    k = data.draw(st.integers(1, 4))
+    heuristic.cached_fiber_paths(net, s, d, k)
+    s, d = data.draw(st.sampled_from([(s, d), (d, s)]))
+    k += data.draw(st.integers(1, 4))
+    _assert_prefix(list(heuristic.pair_routes(net, s, d, k)), compute_fiber_paths(net, s, d, k))
 
 
 class TestAssignSpectrum:

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 from importlib import resources
 from unittest import mock
 
@@ -268,6 +270,41 @@ class TestProbe:
         pm = probe_run(net, traffic, PolicyParams(mode="pt", k=2), probe_demand=(1, 1), probes=20, spacing=5)
         assert pm == ProbeMetrics(20, 0)
 
+    def test_probe_pairs_come_from_sd_pairs_only(self, monkeypatch):
+        # probes draw their pairs from the same table as the background
+        pairs = (("Seattle", "Miami"), ("Boston", "Denver"), ("Dallas", "Chicago"))
+        traffic = TrafficConfig(mean_holding=10.0, requests=400, seed=3, demand=(1, 4), sd_pairs=pairs)
+        probed = []
+        plan = sim.assign_spectrum
+
+        def recording(state, routes, req, policy, **kwargs):
+            probed.append((req.source, req.destination))
+            return plan(state, routes, req, policy, **kwargs)
+
+        monkeypatch.setattr(sim, "assign_spectrum", recording)
+        pm = probe_run(US16, traffic, PolicyParams(mode="pt", k=4), probe_demand=(1, 3), probes=30, spacing=5)
+        assert pm.probes == len(probed) == 30
+        assert set(probed) == set(pairs)
+
+    def test_runs_leave_no_cycles(self):
+        # nothing a run keeps on the network refers back to it or forms a
+        # cycle, so the network and its memos go with its last reference,
+        # without the cycle collector
+        net = load_topology(US_TEXT, slots_per_link=16)
+        ref = weakref.ref(net)
+        traffic = TrafficConfig(mean_holding=20.0, requests=600, seed=2, demand=(1, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            run(net, traffic, PolicyParams(mode="pt", k=6, gb=1))
+            probe_run(net, traffic, PolicyParams(mode="pt", k=8), probe_demand=(2, 4), probes=20, spacing=10)
+            assert net.route_memo and net.bound_memo and net.draw_memo
+            del net
+            assert ref() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_run_after_probe_run_reuses_routes(self, monkeypatch):
         # routes live on the network: a later run on it enumerates no pair the
         # probe run met, and no pair twice
@@ -277,13 +314,13 @@ class TestProbe:
         probe_run(net, traffic, policy, probe_demand=(2, 4), probes=20, spacing=10)
         known = set(net.route_memo)
         calls = []
-        enumerate_paths = heuristic.compute_fiber_paths
+        start = heuristic._start_search
 
-        def counted(*args, **kwargs):
-            calls.append(args[1:3])
-            return enumerate_paths(*args, **kwargs)
+        def counted(net, source, destination, k):
+            calls.append((source, destination))
+            return start(net, source, destination, k)
 
-        monkeypatch.setattr(heuristic, "compute_fiber_paths", counted)
+        monkeypatch.setattr(heuristic, "_start_search", counted)
         metrics = run(net, traffic, policy)
         assert metrics.offered > 0
         assert known and not known & set(calls)
