@@ -27,7 +27,7 @@ from importlib import resources
 from typing import Callable, NamedTuple
 
 from . import crossval, ilp, oracle, sim
-from .heuristic import PolicyParams, cached_fiber_paths
+from .heuristic import PolicyParams, pair_routes
 from .physics import FiberParams
 from .topology import Network, TopologyError, load_topology
 
@@ -452,7 +452,7 @@ def cmd_export_ilp(args) -> int:
     def bad_tr(s, d, exc):  # every other input is checked above: tr exceeds |P|*|F|
         return ConfigError(f"bad tr {demand} for {s} -> {d}: {exc}")
 
-    routes = cached_fiber_paths(net, src, dst, cfg["paths"])
+    routes = tuple(pair_routes(net, src, dst, cfg["paths"]))
     if not routes:
         raise ConfigError(f"no path from {src} to {dst}")
     try:
@@ -479,7 +479,7 @@ def cmd_export_ilp(args) -> int:
                 if s == d:
                     continue
                 pairs += 1
-                pr = cached_fiber_paths(net, s, d, cfg["paths"])
+                pr = tuple(pair_routes(net, s, d, cfg["paths"]))
                 if not pr:
                     continue
                 try:

@@ -16,25 +16,26 @@ the destination, each with its ranking delay.
 Routes depend on the network alone, so they are kept in the ``Network``'s
 ``route_memo``, one table per (source, destination), and found on demand:
 each fiber pair has one resumable search, and a table grows only when a
-reader passes its end.  :func:`pair_routes` gives ``serve`` and the probes of
-``sim.probe_run`` a view that grows the table, in batches that double up to
-K, only as far as the scan of :func:`assign_spectrum` reads; a scan that hits
-at the first route searches for one path.  Complete paths pop in one total
+reader passes its end.  :func:`pair_routes` is the memo's one reader: it
+gives ``serve``, the probes of ``sim.probe_run`` and ``export-ilp`` a view
+that grows the table, in batches that double up to K, only as far as the
+scan of :func:`assign_spectrum` (or a whole read) goes; a scan that hits at
+the first route searches for one path.  Complete paths pop in one total
 order, so every read sees a prefix of the K-path enumeration, whatever was
 read before.  A search is dropped once it is settled at the largest K asked
 (past the run of paths tied with its K-th): a smaller K reads a prefix, a
 larger K searches the pair again, and a pair with fewer paths than asked is
 never searched again.  :func:`compute_fiber_paths` runs the same search to K
-at once, and :func:`cached_fiber_paths` grows a table to K at once.
+at once, outside the memo.
 
-On a twinned network (arc 2k+1 is arc 2k reversed, with the same delay, as in
-every loaded topology) both directions of a fiber pair share one search.
-Twin rule: the paths d -> s are the paths s -> d reversed onto the twin arcs
-(``id ^ 1``), with the same delays, so only runs of equal delay change order,
-and each is re-sorted by (nodes, arc ids).  Tie rule: the unsearched
-direction takes only complete runs.  A run is complete once the frontier can
-give no path as fast; a read there goes on past its last route while a path
-just as slow can still come, so the reversed order is exact.
+Every ``Network`` is fiber pairs (arc 2k+1 is arc 2k reversed, with the same
+delay), so both directions of a fiber pair share one search.  Twin rule: the
+paths d -> s are the paths s -> d reversed onto the twin arcs (``id ^ 1``),
+with the same delays, so only runs of equal delay change order, and each is
+re-sorted by (nodes, arc ids).  Tie rule: the unsearched direction takes only
+complete runs.  A run is complete once the frontier can give no path as fast;
+a read there goes on past its last route while a path just as slow can still
+come, so the reversed order is exact.
 
 Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
@@ -315,15 +316,6 @@ class _RouteTable:
                     run.sort(key=_route_order)
                 routes += run
 
-    def prefix(self, k: int, stats: dict | None) -> tuple[Route, ...]:
-        """The first ``k`` routes, grown if need be and sliced once."""
-        routes = self.prefixes.get(k)
-        if routes is None:
-            if not self.covers(k):
-                self.grow(k, stats)
-            routes = self.prefixes[k] = tuple(self.routes[:k])
-        return routes
-
 
 class _RouteView:
     """The first ``k`` routes of a table that does not hold them yet.
@@ -369,7 +361,7 @@ def _route_table(net: Network, source: str, destination: str, k: int) -> _RouteT
     memo = net.route_memo
     pair = (source, destination)
     table = memo.get(pair)
-    if table is None and net.twinned:
+    if table is None:
         twin = memo.get((destination, source))
         if twin is not None:
             table = memo[pair] = _RouteTable(twin.search, True)
@@ -388,8 +380,7 @@ def _start_search(net: Network, source: str, destination: str, k: int) -> _Route
     """A new search of the pair at ``k``; its table replaces the pair's and its twin's."""
     memo = net.route_memo
     table = memo[source, destination] = _RouteTable(_Search(net, source, destination, k), False)
-    if net.twinned:
-        memo.pop((destination, source), None)  # its next read derives a table from this search
+    memo.pop((destination, source), None)  # its next read derives a table from this search
     return table
 
 
@@ -405,32 +396,10 @@ def pair_routes(net: Network, source: str, destination: str, k: int) -> Sequence
         if routes is not None:
             return routes
     table = _route_table(net, source, destination, k)
-    if table.covers(k):
-        return table.prefix(k, None)
+    if table.covers(k):  # sliced once and kept for later callers
+        routes = table.prefixes[k] = tuple(table.routes[:k])
+        return routes
     return _RouteView(table, k)  # never kept in the table, which it refers to
-
-
-def cached_fiber_paths(
-    net: Network,
-    source: str,
-    destination: str,
-    k: int,
-    cache: dict | None = None,
-    stats: dict | None = None,
-) -> Sequence[Route]:
-    """:func:`compute_fiber_paths`, memoized in ``cache`` or else in ``net.route_memo``.
-
-    A caller's ``cache`` is keyed by (source, destination, k).  ``net.route_memo``
-    holds one table per (source, destination), grown as :func:`pair_routes`
-    reads it; here it is grown to ``k`` at once.  Routes are tuples, because
-    every later caller shares them.
-    """
-    if cache is not None:
-        key = (source, destination, k)
-        if key not in cache:
-            cache[key] = tuple(compute_fiber_paths(net, source, destination, k, stats=stats))
-        return cache[key]
-    return _route_table(net, source, destination, k).prefix(k, stats)
 
 
 def assign_spectrum(
@@ -516,8 +485,11 @@ def serve(
     """Route, assign and atomically allocate one request; None when blocked."""
     if path_cache is None:
         routes = pair_routes(net, req.source, req.destination, policy.k)
-    else:
-        routes = cached_fiber_paths(net, req.source, req.destination, policy.k, path_cache, stats)
+    else:  # the caller's own memo, keyed by (source, destination, k)
+        key = (req.source, req.destination, policy.k)
+        if key not in path_cache:
+            path_cache[key] = tuple(compute_fiber_paths(net, *key, stats=stats))
+        routes = path_cache[key]
     plan = assign_spectrum(state, routes, req, policy, stats=stats)
     if plan is None:
         return None

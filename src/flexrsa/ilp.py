@@ -246,11 +246,6 @@ def build_model(
     rows: dict[str, list[Constraint]] = {family: [] for family in FAMILIES}
 
     def emit(family, coeffs, relation, rhs):
-        if len(dict(coeffs)) < len(coeffs):  # a name repeats: sum its terms
-            merged: dict[str, int | Fraction] = {}
-            for n, c in coeffs:
-                merged[n] = merged.get(n, 0) + c
-            coeffs = merged.items()
         out = rows[family]
         terms = tuple(term for term in coeffs if term[1] != 0)
         out.append(Constraint(f"{_PREFIX[family]}_{len(out)}", family, terms, relation, rhs))

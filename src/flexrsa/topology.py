@@ -47,11 +47,19 @@ class Link:
             raise TopologyError(f"self-loop at node {self.src!r}")
         if self.length_km < 0:
             raise TopologyError(f"negative length on arc {self.id}")
+        if self.delay_ps < 0:
+            raise TopologyError(f"negative delay on arc {self.id}")
 
 
 @dataclass(frozen=True)
 class Network:
-    """Immutable directed multigraph with per-arc physical attributes."""
+    """Immutable directed multigraph with per-arc physical attributes.
+
+    Arcs come in fiber pairs: arc 2k+1 is arc 2k reversed, with the same
+    length and delay, as ``load_topology`` builds them.  So the loop-free
+    paths from d to s are exactly the s-to-d paths reversed onto the twin
+    arcs (``id ^ 1``), with the same delays.
+    """
 
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
@@ -71,6 +79,13 @@ class Network:
         for i, link in enumerate(self.links):
             if link.id != i:
                 raise TopologyError(f"arc ids must be dense, found {link.id} at index {i}")
+        links = self.links
+        if len(links) % 2:
+            raise TopologyError(f"arc {links[-1].id} has no twin: arcs come in fiber pairs")
+        for fwd, back in zip(links[::2], links[1::2]):
+            twin = (fwd.dst, fwd.src, fwd.length_km, fwd.delay_ps)
+            if (back.src, back.dst, back.length_km, back.delay_ps) != twin:
+                raise TopologyError(f"arc {back.id} is not arc {fwd.id} reversed, with the same length and delay")
 
     @cached_property
     def _outgoing(self) -> dict[str, tuple[Link, ...]]:
@@ -90,28 +105,14 @@ class Network:
     def route_memo(self) -> dict:
         """Derived routes, one table per (source, destination); out of equality, hash and repr.
 
-        ``heuristic`` keeps here, per pair, the routes its resumable search
-        has found so far, grown only as far as a scan reads them, and the
-        prefixes served.  On a ``twinned`` network both directions of a
-        fiber pair share one search: the other direction takes its complete
-        equal-delay runs, each route reversed onto the twin arcs, and only
-        those runs re-sorted.  No entry refers back to the network.
+        ``heuristic.pair_routes`` keeps here, per pair, the routes its
+        resumable search has found so far, grown only as far as a scan reads
+        them, and the prefixes served.  Both directions of a fiber pair share
+        one search: the other direction takes its complete equal-delay runs,
+        each route reversed onto the twin arcs, and only those runs
+        re-sorted.  No entry refers back to the network.
         """
         return {}
-
-    @cached_property
-    def twinned(self) -> bool:
-        """Whether every arc 2k+1 is arc 2k reversed, with the same delay.
-
-        ``load_topology`` builds every network so.  Then the loop-free paths
-        from d to s are exactly the s-to-d paths reversed onto the twin arcs
-        (``id ^ 1``), with the same delays.
-        """
-        links = self.links
-        return len(links) % 2 == 0 and all(
-            back.src == fwd.dst and back.dst == fwd.src and back.delay_ps == fwd.delay_ps
-            for fwd, back in zip(links[::2], links[1::2])
-        )
 
     @cached_property
     def draw_memo(self) -> dict:
@@ -127,8 +128,9 @@ class Network:
         """Phase-1 search bounds by destination; out of equality, hash and repr.
 
         The bound (each node's min delay to the destination) depends on the
-        destination alone, so ``heuristic.compute_fiber_paths`` computes it
-        once per destination and keeps it here, with the arcs onward.
+        destination alone, so the first phase-1 search towards a destination
+        computes it and keeps it here, with the arcs onward, for every later
+        search, eager or resumable.
         """
         return {}
 

@@ -2,8 +2,9 @@ from importlib import resources
 
 import pytest
 
-from flexrsa.physics import round_half_up
-from flexrsa.topology import Network, TopologyError, dump_topology, load_topology
+from flexrsa import heuristic
+from flexrsa.physics import propagation_ps, round_half_up
+from flexrsa.topology import Link, Network, TopologyError, dump_topology, load_topology
 
 from util import make_net
 
@@ -65,7 +66,34 @@ class TestInvariants:
             assert rev.length_km == link.length_km
             assert rev.delay_ps == link.delay_ps
             assert net.links[link.id ^ 1] is rev
-        assert net.twinned
+
+    @pytest.mark.parametrize(
+        "links",
+        [
+            # a one-way arc: arc 2 has no twin
+            [("A", "B", 100, 100), ("B", "A", 100, 100), ("B", "C", 100, 100)],
+            # twins whose delays differ
+            [("A", "B", 100, 100), ("B", "A", 100, 100), ("B", "C", 100, 100), ("C", "B", 100, 200)],
+            # twins whose lengths differ
+            [("A", "B", 100, 100), ("B", "A", 200, 100)],
+            # a pair whose second arc is not the first reversed
+            [("A", "B", 100, 100), ("B", "C", 100, 100), ("C", "B", 100, 100), ("B", "A", 100, 100)],
+        ],
+        ids=["one-way", "delays-differ", "lengths-differ", "not-reversed"],
+    )
+    def test_arcs_not_in_fiber_pairs_are_rejected(self, links):
+        arcs = tuple(
+            Link(i, src, dst, km, propagation_ps(km_for_delay, 2.0e5))
+            for i, (src, dst, km, km_for_delay) in enumerate(links)
+        )
+        with pytest.raises(TopologyError, match="twin|reversed"):
+            Network(("A", "B", "C"), arcs, slots_per_link=4)
+
+    @pytest.mark.parametrize("length_km, delay_ps, reason", [(-1.0, 0, "length"), (100.0, -1, "delay")])
+    def test_negative_arc_attributes_rejected(self, length_km, delay_ps, reason):
+        # the search bound and the twin rule assume delays are non-negative
+        with pytest.raises(TopologyError, match=f"negative {reason} on arc 3"):
+            Link(3, "a", "b", length_km, delay_ps)
 
     def test_delay_recomputable_from_length(self):
         net = load_topology(US_TEXT, slots_per_link=16, propagation_speed_km_s=2.0e5)
@@ -112,7 +140,8 @@ class TestOutgoing:
     def test_route_memo_out_of_equality(self):
         a = load_topology(US_TEXT, slots_per_link=16)
         b = load_topology(US_TEXT, slots_per_link=16)
-        a.route_memo[("Seattle", "Miami", 1)] = []
+        assert len(tuple(heuristic.pair_routes(a, "Seattle", "Miami", 3))) == 3
+        assert isinstance(a.route_memo["Seattle", "Miami"], heuristic._RouteTable)
         a.draw_memo[("traffic", 1)] = ()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert "route_memo" not in repr(a) and "draw_memo" not in repr(a)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from flexrsa import sim
-from flexrsa.heuristic import MODE_PARALLEL, Request, Solution, assign_spectrum, cached_fiber_paths
+from flexrsa.heuristic import MODE_PARALLEL, Request, Solution, assign_spectrum, compute_fiber_paths
 from flexrsa.physics import gvd_differential_delay_ps
 from flexrsa.spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
 from flexrsa.topology import Network, load_topology
@@ -270,7 +270,7 @@ def reference_probe_run(net, traffic, policy, fiber_params=None, *, probe_demand
             return
         src, dst = pairs[probe_pairs.randrange(len(pairs))]
         req = Request(src, dst, probe_demand_rng.randint(*probe_demand))
-        routes = cached_fiber_paths(net, src, dst, policy.k)
+        routes = compute_fiber_paths(net, src, dst, policy.k)
         done += 1
         if assign_spectrum(state, routes, req, policy) is None:
             blocked += 1
