@@ -7,7 +7,7 @@ an exhaustive test oracle, and a seeded dynamic-traffic simulator.
 from .heuristic import PolicyParams, Request, Route, Solution, assign_spectrum, compute_fiber_paths, serve
 from .physics import FiberParams, gvd_differential_delay_ps, slot_width_nm
 from .spectrum import SlotRange, SpectrumPath, SpectrumState
-from .topology import Link, Network, TopologyError, dump_topology, load_topology
+from .topology import Link, Network, TopologyError, load_topology
 
 __all__ = [
     "FiberParams",
@@ -23,7 +23,6 @@ __all__ = [
     "TopologyError",
     "assign_spectrum",
     "compute_fiber_paths",
-    "dump_topology",
     "gvd_differential_delay_ps",
     "load_topology",
     "serve",

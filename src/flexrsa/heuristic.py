@@ -22,20 +22,21 @@ that grows the table, in batches that double up to K, only as far as the
 scan of :func:`assign_spectrum` (or a whole read) goes; a scan that hits at
 the first route searches for one path.  Complete paths pop in one total
 order, so every read sees a prefix of the K-path enumeration, whatever was
-read before.  A search is dropped once it is settled at the largest K asked
-(past the run of paths tied with its K-th): a smaller K reads a prefix, a
+read before.  One stopping rule: a search stops only at the end of a run of
+equal delays, once the frontier can give no path as fast as its last, so the
+paths tied with the last one asked for are found too.  A search is dropped
+once it is settled at the largest K asked: a smaller K reads a prefix, a
 larger K searches the pair again, and a pair with fewer paths than asked is
 never searched again.  :func:`compute_fiber_paths` runs the same search to K
 at once, outside the memo.
 
 Every ``Network`` is fiber pairs (arc 2k+1 is arc 2k reversed, with the same
-delay), so both directions of a fiber pair share one search.  Twin rule: the
-paths d -> s are the paths s -> d reversed onto the twin arcs (``id ^ 1``),
-with the same delays, so only runs of equal delay change order, and each is
-re-sorted by (nodes, arc ids).  Tie rule: the unsearched direction takes only
-complete runs.  A run is complete once the frontier can give no path as fast;
-a read there goes on past its last route while a path just as slow can still
-come, so the reversed order is exact.
+delay).  So the nodes that reach a destination are the nodes it reaches, and
+both directions of a fiber pair share one search.  Twin rule: the paths
+d -> s are the paths s -> d reversed onto the twin arcs (``id ^ 1``), with
+the same delays, so only runs of equal delay change order, and each is
+re-sorted by (nodes, arc ids).  Every run a search finds is complete, so the
+reversed order is exact.
 
 Phase 2 tries a single band on each path in delay order first; in multipath
 mode it then aggregates free fragments across paths, keeping every candidate
@@ -58,6 +59,7 @@ to an accepted band when its slot bits meet that band grown by the guard band.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from itertools import chain, groupby
 from operator import attrgetter, itemgetter
@@ -133,43 +135,43 @@ class Solution:
     paths: tuple[SpectrumPath, ...]
 
     @property
-    def total_slots(self) -> int:
-        return sum(p.range.length for p in self.paths)
-
-    @property
     def delay_spread_ps(self) -> int:
         delays = [p.delay_ps for p in self.paths]
         return max(delays) - min(delays)
 
 
 def _delays_to(net: Network, destination: str) -> dict[str, int]:
-    """Exact min delay to ``destination`` from every node that can reach it."""
+    """Exact min delay to ``destination`` from every node that can reach it.
+
+    Each arc out of ``v`` is the twin of an arc into ``v`` with the same
+    delay, so the search walks outgoing arcs.
+    """
     dist = {destination: 0}
     heap = [(0, destination)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
-        for link in net.incoming(v):
+        for link in net.outgoing(v):
             reached = d + link.delay_ps
-            if link.src not in dist or reached < dist[link.src]:
-                dist[link.src] = reached
-                heapq.heappush(heap, (reached, link.src))
+            if link.dst not in dist or reached < dist[link.dst]:
+                dist[link.dst] = reached
+                heapq.heappush(heap, (reached, link.dst))
     return dist
 
 
 def _search_table(net: Network, destination: str) -> tuple[dict[str, int], dict[str, tuple]]:
     """The bound of every node that reaches ``destination``, and its arcs onward.
 
-    Each onward arc is (head, delay, delay + bound at head, arc id); only arcs
-    whose head reaches the destination are listed, in outgoing order.
+    Each onward arc is (head, delay, delay + bound at head, arc id), in
+    outgoing order.  Every head reaches the destination too, back along the
+    twin arc, so every arc out of such a node is listed.
     """
     bound = _delays_to(net, destination)
     onward = {
         v: tuple(
             (link.dst, link.delay_ps, link.delay_ps + bound[link.dst], link.id)
             for link in net.outgoing(v)
-            if link.dst in bound
         )
         for v in bound
     }
@@ -207,36 +209,29 @@ class _Search:
         self.frontier: list | None = [(bound[source], (source,), (), 0)] if source in bound else []
         self.found: list[Route] = []
 
-    def run(self, want: int, ties: bool, stats: dict | None) -> None:
-        """Pop paths until ``want`` are found or none is left.
+    def run(self, want: int, stats: dict | None) -> None:
+        """Pop paths until ``want`` are found, with every path tied with the ``want``-th.
 
-        With ``ties``, go on while the frontier can still give a path as
-        slow as the ``want``-th, so every path tied with it is found too.
+        The search stops only at the end of a run of equal delays: it goes on
+        while the frontier can still give a path as slow as the ``want``-th,
+        or until none is left.  So ``found`` always ends on a complete run,
+        and a later ``want`` it already holds pops nothing.
         """
-        frontier = self.frontier
-        if frontier is None:
+        frontier, found = self.frontier, self.found
+        if frontier is None or len(found) >= want:
             return
-        found = self.found
-        last = None  # with ties: the want-th path's delay, past which nothing is popped
-        if len(found) >= want:
-            if not ties:
-                return
-            last = found[want - 1].delay_ps
         destination, onward = self.destination, self.onward
         arc = self.links.__getitem__
         push, pop = heapq.heappush, heapq.heappop
         expansions = 0
-        while frontier:
-            if last is not None and frontier[0][0] > last:
-                break
+        last = math.inf  # the want-th path's delay, once found: nothing slower is popped
+        while frontier and frontier[0][0] <= last:
             _key, nodes, arc_ids, delay = pop(frontier)
             expansions += 1
             head = nodes[-1]
             if head == destination:
                 found.append(Route(tuple(map(arc, arc_ids)), nodes, delay))
                 if len(found) == want:
-                    if not ties:
-                        break
                     last = delay
                 continue
             for nxt, step, ranked, arc_id in onward[head]:
@@ -259,8 +254,8 @@ def compute_fiber_paths(
     (parallel arcs).  Returns fewer than ``k`` only when fewer exist.
     """
     search = _Search(net, source, destination, k)
-    search.run(k, False, stats)
-    return search.found
+    search.run(k, stats)
+    return search.found[:k]  # the run tied with the k-th path may go past it
 
 
 def _route_order(route: Route) -> tuple:
@@ -271,12 +266,11 @@ class _RouteTable:
     """One direction's routes, grown from its fiber pair's search as far as they are read.
 
     The searched direction's ``routes`` is the search's ``found``.  The twin
-    direction takes only complete equal-delay runs: a run is complete once
-    the frontier can give no path as fast, and its routes are reversed onto
-    the twin arcs (id ^ 1) and re-sorted by node sequence, then arc ids.
-    Once a growth reaches the search's K, the search also finds the paths
-    tied with the K-th and is dropped: both directions then hold all K
-    routes, and only a larger K searches the pair again.
+    direction takes every route found, since each search ends on a complete
+    equal-delay run: the routes are reversed onto the twin arcs (id ^ 1) and
+    each run is re-sorted by node sequence, then arc ids.  Once a growth
+    reaches the search's K, the search is dropped: both directions then hold
+    all K routes, and only a larger K searches the pair again.
     """
 
     __slots__ = ("search", "routes", "prefixes")
@@ -294,21 +288,14 @@ class _RouteTable:
         """Hold at least ``n`` routes, or every route the pair has."""
         search, routes = self.search, self.routes
         found = search.found
-        twin = routes is not found
-        search.run(n, twin or n >= search.k, stats)
-        frontier = search.frontier
-        if n >= search.k and frontier:
-            search.frontier = frontier = None  # settled: past the K-th path's tied run
-        if twin:
-            start, end = len(routes), len(found)
-            if frontier:  # a run as slow as the frontier's best may still grow
-                slowest = frontier[0][0]
-                while end > start and found[end - 1].delay_ps >= slowest:
-                    end -= 1
+        search.run(n, stats)
+        if n >= search.k and search.frontier:
+            search.frontier = None  # settled: past the K-th path's tied run
+        if routes is not found:  # the twin direction
             arc = search.links
             flipped = [
                 Route(tuple([arc[a.id ^ 1] for a in reversed(r.arcs)]), r.nodes[::-1], r.delay_ps)
-                for r in found[start:end]
+                for r in found[len(routes):]
             ]
             for _delay, run in groupby(flipped, attrgetter("delay_ps")):
                 run = list(run)
@@ -358,13 +345,7 @@ class _RouteView:
 
 def _route_table(net: Network, source: str, destination: str, k: int) -> _RouteTable:
     """The pair's table in ``net.route_memo``, able to grow to ``k`` routes."""
-    memo = net.route_memo
-    pair = (source, destination)
-    table = memo.get(pair)
-    if table is None:
-        twin = memo.get((destination, source))
-        if twin is not None:
-            table = memo[pair] = _RouteTable(twin.search, True)
+    table = net.route_memo.get((source, destination))
     if table is not None:
         search = table.search
         if search.frontier:
@@ -377,10 +358,11 @@ def _route_table(net: Network, source: str, destination: str, k: int) -> _RouteT
 
 
 def _start_search(net: Network, source: str, destination: str, k: int) -> _RouteTable:
-    """A new search of the pair at ``k``; its table replaces the pair's and its twin's."""
+    """A new search of the pair at ``k``; its two tables, one per direction, replace the pair's."""
+    search = _Search(net, source, destination, k)
     memo = net.route_memo
-    table = memo[source, destination] = _RouteTable(_Search(net, source, destination, k), False)
-    memo.pop((destination, source), None)  # its next read derives a table from this search
+    memo[destination, source] = _RouteTable(search, True)
+    table = memo[source, destination] = _RouteTable(search, False)
     return table
 
 

@@ -115,7 +115,6 @@ class ModelMeta:
     pairs: tuple[tuple[int, int, str, tuple[str, ...]], ...]  # (p, q, o name, g name per shared arc)
     slots: int
     fiber: FiberParams | None
-    demand: int
 
 
 @dataclass
@@ -389,7 +388,6 @@ def build_model(
         pairs=tuple((p, q, o[p, q], tuple(g[p, q, e] for e in shared[p, q])) for p, q in pairs),
         slots=slots,
         fiber=fiber_params,
-        demand=demand,
     )
     return ConstraintSystem(variables, constraints, objective, meta)
 
@@ -428,11 +426,6 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
             continue
         violations.append((family, idx))
     return violations
-
-
-def solution_cost(assignment: Mapping[str, int]) -> int:
-    """Objective value: total slot-arc usage."""
-    return int(sum(v for n, v in assignment.items() if n.startswith("xei_")))
 
 
 def assignment_from_bands(

@@ -22,7 +22,10 @@ def propagation_ps(length_km: float, speed_km_s: float) -> int:
     """Integer-picosecond propagation delay of ``length_km`` at ``speed_km_s``."""
     if length_km < 0:
         raise ValueError(f"negative length: {length_km}")
-    return round_half_up(length_km / speed_km_s * 1e12)
+    delay = length_km / speed_km_s * 1e12
+    if not math.isfinite(delay):
+        raise ValueError(f"propagation delay of {length_km} km at {speed_km_s} km/s is not finite")
+    return round_half_up(delay)
 
 
 @dataclass(frozen=True)

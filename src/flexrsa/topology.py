@@ -45,6 +45,8 @@ class Link:
     def __post_init__(self):
         if self.src == self.dst:
             raise TopologyError(f"self-loop at node {self.src!r}")
+        if not math.isfinite(self.length_km):
+            raise TopologyError(f"length on arc {self.id} is not finite: {self.length_km}")
         if self.length_km < 0:
             raise TopologyError(f"negative length on arc {self.id}")
         if self.delay_ps < 0:
@@ -95,22 +97,16 @@ class Network:
         return {v: tuple(sorted(arcs, key=lambda a: (a.dst, a.id))) for v, arcs in table.items()}
 
     @cached_property
-    def _incoming(self) -> dict[str, tuple[Link, ...]]:
-        table: dict[str, list[Link]] = {v: [] for v in self.nodes}
-        for link in self.links:
-            table[link.dst].append(link)
-        return {v: tuple(arcs) for v, arcs in table.items()}
-
-    @cached_property
     def route_memo(self) -> dict:
         """Derived routes, one table per (source, destination); out of equality, hash and repr.
 
         ``heuristic.pair_routes`` keeps here, per pair, the routes its
         resumable search has found so far, grown only as far as a scan reads
-        them, and the prefixes served.  Both directions of a fiber pair share
-        one search: the other direction takes its complete equal-delay runs,
-        each route reversed onto the twin arcs, and only those runs
-        re-sorted.  No entry refers back to the network.
+        them, and the prefixes served.  A search writes the tables of both
+        directions of its fiber pair at once, and they share it: the other
+        direction takes every route found, each reversed onto the twin arcs,
+        with only runs of equal delay re-sorted.  No entry refers back to the
+        network.
         """
         return {}
 
@@ -130,7 +126,9 @@ class Network:
         The bound (each node's min delay to the destination) depends on the
         destination alone, so the first phase-1 search towards a destination
         computes it and keeps it here, with the arcs onward, for every later
-        search, eager or resumable.
+        search, eager or resumable.  It is a Dijkstra from the destination
+        along outgoing arcs: each is the twin of an arc the other way, with
+        the same delay, so no reverse adjacency is kept.
         """
         return {}
 
@@ -138,13 +136,6 @@ class Network:
         """All arcs leaving ``v``, ordered by (dst id, arc id)."""
         try:
             return self._outgoing[v]
-        except KeyError:
-            raise TopologyError(f"unknown node {v!r}") from None
-
-    def incoming(self, v: str) -> tuple[Link, ...]:
-        """All arcs entering ``v``, in arc-id order."""
-        try:
-            return self._incoming[v]
         except KeyError:
             raise TopologyError(f"unknown node {v!r}") from None
 
@@ -183,6 +174,8 @@ class _Parser:
                 length = float(parts[3])
             except ValueError:
                 raise TopologyError(f"line {lineno}: bad length {parts[3]!r}") from None
+            if not math.isfinite(length):
+                raise TopologyError(f"line {lineno}: length {parts[3]!r} is not finite")
             if src not in self.seen:
                 raise TopologyError(f"line {lineno}: link endpoint {src!r} not declared")
             if dst not in self.seen:
@@ -221,12 +214,3 @@ def load_topology(
         slots_per_link=slots_per_link,
         propagation_speed_km_s=propagation_speed_km_s,
     )
-
-
-def dump_topology(net: Network) -> str:
-    """Serialize back to the file grammar (one line per undirected edge)."""
-    lines = [f"node {v}" for v in net.nodes]
-    for i in range(0, len(net.links), 2):
-        fwd = net.links[i]
-        lines.append(f"link {fwd.src} {fwd.dst} {fwd.length_km!r}")
-    return "\n".join(lines) + "\n"

@@ -80,6 +80,22 @@ class TestTopoInfo:
         assert main(["topo-info", "--slots", "1.5"]) == 2
         assert capsys.readouterr().err == "error: bad slots '1.5': expected int\n"
 
+    @pytest.mark.parametrize("token", ["inf", "1e400", "nan"])
+    def test_non_finite_link_length_names_the_line(self, tmp_path, capsys, token):
+        topo = tmp_path / "bad.txt"
+        topo.write_text(f"node a\nnode b\nlink a b {token}\n")
+        assert main(["topo-info", "--topology", str(topo)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: line 3: length '{token}' is not finite\n"
+
+    def test_delay_overflow_at_a_tiny_speed_rejected(self, tmp_path, capsys):
+        # exit 2, not 1: 1 is oracle-check's verdict that an instance failed
+        rc = main(["simulate", "--speed-kms", "1e-300", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: propagation delay of") and "is not finite" in err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
 
 class TestSimulate:
     def test_tiny_grid_writes_csvs(self, tmp_path, capsys):

@@ -39,6 +39,15 @@ def triangle():
     return make_net([("A", "B", 200), ("B", "C", 200), ("A", "C", 600)], slots=16)
 
 
+def tied_at_two():
+    # S-D is the fastest; S-A-Y-D and S-B-X-D tie for second
+    return make_net(
+        [("S", "D", 100), ("S", "A", 100), ("A", "Y", 100), ("Y", "D", 100),
+         ("S", "B", 100), ("B", "X", 100), ("X", "D", 100)],
+        slots=4,
+    )
+
+
 def fragmented_diamond(pattern="0011001100011111", lengths=(100, 100, 100, 100)):
     """Two disjoint 2-arc paths S->A->D and S->B->D with a fixed occupancy."""
     l1, l2, l3, l4 = lengths
@@ -195,13 +204,20 @@ class TestRouteTable:
         assert again == big and memo_routes(net, "Seattle", "Atlanta", 40) is again
 
     def test_larger_k_re_enumerates_and_replaces_the_table(self, enumerations):
+        # a search writes both directions' tables, which share it; a larger K
+        # starts a new search, whose two tables replace both
         net = load_topology(US_TEXT, slots_per_link=16)
+        memo = net.route_memo
+        both = {("Seattle", "Atlanta"), ("Atlanta", "Seattle")}
         small = memo_routes(net, "Seattle", "Atlanta", 10)
+        first = memo["Seattle", "Atlanta"].search
+        assert set(memo) == both and memo["Atlanta", "Seattle"].search is first
         big = memo_routes(net, "Seattle", "Atlanta", 40)
         again = memo_routes(net, "Seattle", "Atlanta", 20)
         assert enumerations == [("Seattle", "Atlanta", 10), ("Seattle", "Atlanta", 40)]
         assert big[:10] == small and again == big[:20]
-        assert list(net.route_memo) == [("Seattle", "Atlanta")]
+        search = memo["Seattle", "Atlanta"].search
+        assert set(memo) == both and search is not first and memo["Atlanta", "Seattle"].search is search
 
     def test_exhausted_pair_is_never_re_enumerated(self, enumerations):
         net = triangle()  # A to C has two loop-free paths
@@ -234,14 +250,10 @@ class TestRouteTable:
         assert enumerations == [("Seattle", "Atlanta", 10), ("Atlanta", "Seattle", 40)]
 
     def test_the_reverse_of_a_tie_at_k_picks_from_every_tied_path(self, enumerations):
-        # S-D is the fastest; S-A-Y-D and S-B-X-D tie for second.  At K=2 the
-        # forward search keeps both, since the reverse order picks D-X-B-S,
-        # the twin of the route a plain K=2 search would have dropped
-        net = make_net(
-            [("S", "D", 100), ("S", "A", 100), ("A", "Y", 100), ("Y", "D", 100),
-             ("S", "B", 100), ("B", "X", 100), ("X", "D", 100)],
-            slots=4,
-        )
+        # at K=2 the forward search keeps both tied routes, since the reverse
+        # order picks D-X-B-S, the twin of the route a search stopped at the
+        # K-th path would have dropped
+        net = tied_at_two()
         forward = memo_routes(net, "S", "D", 2)
         backward = memo_routes(net, "D", "S", 2)
         assert [r.nodes for r in forward] == [("S", "D"), ("S", "A", "Y", "D")]
@@ -251,21 +263,30 @@ class TestRouteTable:
         assert enumerations == [("S", "D", 2)]
 
     def test_a_twin_read_takes_only_complete_runs(self, enumerations):
-        # the same net: a forward read of two routes stops inside the tied
-        # run, so the reverse read takes D-S alone until the run is complete
-        net = make_net(
-            [("S", "D", 100), ("S", "A", 100), ("A", "Y", 100), ("Y", "D", 100),
-             ("S", "B", 100), ("B", "X", 100), ("X", "D", 100)],
-            slots=4,
-        )
+        # a forward read of two routes ends its search on the complete tied
+        # run, so it finds S-B-X-D too; a reverse read of one route then takes
+        # all three, the tied run re-sorted
+        net = tied_at_two()
         forward = heuristic.pair_routes(net, "S", "D", 3)
         assert [r.nodes for r in islice(forward, 2)] == [("S", "D"), ("S", "A", "Y", "D")]
+        tied = [("S", "D"), ("S", "A", "Y", "D"), ("S", "B", "X", "D")]
+        assert [r.nodes for r in net.route_memo["S", "D"].routes] == tied
         backward = heuristic.pair_routes(net, "D", "S", 3)
         assert [r.nodes for r in islice(backward, 1)] == [("D", "S")]
-        assert net.route_memo["D", "S"].routes == [backward[0]]
-        assert [r.nodes for r in backward] == [("D", "S"), ("D", "X", "B", "S"), ("D", "Y", "A", "S")]
+        reversed_tied = [("D", "S"), ("D", "X", "B", "S"), ("D", "Y", "A", "S")]
+        assert [r.nodes for r in net.route_memo["D", "S"].routes] == reversed_tied
+        assert [r.nodes for r in backward] == reversed_tied
         assert list(backward) == compute_fiber_paths(net, "D", "S", 3)
         assert enumerations == [("S", "D", 3)]
+
+    def test_a_run_tied_past_k_is_found_but_never_returned(self):
+        # routes 2 and 3 tie: the search finds both, and every reader still
+        # gets exactly K
+        net = tied_at_two()
+        assert len(compute_fiber_paths(net, "S", "D", 2)) == 2
+        assert memo_routes(net, "S", "D", 2) == tuple(compute_fiber_paths(net, "S", "D", 2))
+        assert len(net.route_memo["S", "D"].search.found) == 3
+        assert memo_routes(net, "D", "S", 2) == tuple(compute_fiber_paths(net, "D", "S", 2))
 
     def test_a_settled_search_holds_no_frontier(self):
         net = load_topology(US_TEXT, slots_per_link=16)
@@ -497,7 +518,7 @@ class TestServe:
             sol = serve(state, US_NET, Request(src, dst, tr), policy)
             if sol is None:
                 continue
-            assert sol.total_slots == tr
+            assert sum(band.range.length for band in sol.paths) == tr
             assert sol.delay_spread_ps <= policy.max_dd_ps
             state.audit(policy.gb)
 

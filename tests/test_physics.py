@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,6 +89,15 @@ class TestPropagation:
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             propagation_ps(-1.0, 2.0e5)
+
+    @pytest.mark.parametrize(
+        "length_km, speed_km_s",
+        [(math.inf, 2.0e5), (math.nan, 2.0e5), (1.0e3, 1e-300), (1.0e300, 1e-20)],
+        ids=["inf-length", "nan-length", "tiny-speed", "overflow"],
+    )
+    def test_non_finite_delay_rejected(self, length_km, speed_km_s):
+        with pytest.raises(ValueError, match="is not finite"):
+            propagation_ps(length_km, speed_km_s)
 
 
 def test_invalid_params_rejected():
