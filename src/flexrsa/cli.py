@@ -2,6 +2,9 @@
 
 Every command reads its flags from its own ``KEYS`` table: one row per key,
 which gives the key's default, cast, range check and help, and one --flag.
+A row's cast is the only path from the key's text to its value: ``int``,
+``float`` or the key's own parser (mode tokens, seeds, demands); only the
+checks that join two keys come after the rows.
 ``simulate`` and ``probe`` also read scenario files, flat ``key = value``
 text (comma-separated lists for grid keys); explicit flags override scenario
 values, which override the defaults.  Grid runs write two CSVs (metrics +
@@ -35,11 +38,76 @@ M_US_PT1 = 128_000.0  # 128 ms in us
 M_US_PT2 = 250.0
 
 
+class ConfigError(ValueError):
+    pass
+
+
+def _cast(key: str, token, cast):
+    """``cast(token)``; a rejected value or a non-finite float is a ConfigError naming both.
+
+    A parser's own ConfigError passes through unchanged: it already names
+    what the key expects.
+    """
+    try:
+        value = cast(token)
+    except ConfigError:
+        raise
+    except ValueError:
+        value = None
+    if value is None or (cast is float and not math.isfinite(value)):
+        expected = "finite float" if cast is float else cast.__name__
+        raise ConfigError(f"bad {key} {token!r}: expected {expected}")
+    return value
+
+
+def _parse_list(key: str, token, cast) -> list:
+    return [_cast(key, t.strip(), cast) for t in str(token).split(",") if t.strip()]
+
+
+def _parse_seeds(token: str) -> list[int]:
+    token = str(token).strip()
+    if ".." in token:
+        lo, hi = token.split("..", 1)
+        return list(range(_cast("seeds", lo, int), _cast("seeds", hi, int) + 1))
+    if "," in token:
+        return _parse_list("seeds", token, int)
+    return list(range(_cast("seeds", token, int)))
+
+
+_DEMAND = re.compile(r"([0-9]+)(?:\s*-\s*([0-9]+))?")
+
+
+def _demand(key: str, widen: bool = False) -> Callable[[str], int | tuple[int, int]]:
+    """The parser of demand key ``key``: ``N`` or range ``lo-hi`` with ``1 <= lo <= hi``.
+
+    With ``widen`` it reads ``N`` as the range ``(N, N)``.
+    """
+
+    def parse(token: str) -> int | tuple[int, int]:
+        m = _DEMAND.fullmatch(str(token).strip())
+        if m is None or int(m[1]) < 1 or (m[2] is not None and int(m[2]) < int(m[1])):
+            raise ConfigError(f"bad {key} {token!r}: expected N or lo-hi with 1 <= lo <= hi")
+        lo, hi = int(m[1]), int(m[2] or m[1])
+        return (lo, hi) if m[2] or widen else lo
+
+    return parse
+
+
+# each mode token: its engine mode and differential-delay bound (None: --max-dd-us)
+_MODES = {"st": ("st", None), "pt": ("pt", None), "pt1": ("pt", M_US_PT1), "pt2": ("pt", M_US_PT2)}
+
+
+def _mode(token: str) -> str:
+    if token not in _MODES:
+        raise ConfigError(f"unknown mode {token!r} (expected st|pt|pt1|pt2)")
+    return token
+
+
 class _Key(NamedTuple):
     """One command key: its default, how it is read and checked, its flag help."""
 
     default: object
-    cast: type | None = None  # int or float; None keeps the text
+    cast: Callable[[str], object] | None = None  # parser of the key's text; None keeps the text
     listed: bool = False  # a comma list: each value is cast and checked
     check: tuple[Callable[[object], bool], str] | None = None  # range test, what it accepts
     help: str | None = None
@@ -57,11 +125,11 @@ _GRID = {
     "slots": _Key(128, int, check=_at_least(1), help="frequency slots per link"),
     "max_dd_us": _Key(M_US_PT1, float, check=_at_least(0),
                       help="differential-delay bound for mode 'pt', in microseconds"),
-    "mode": _Key("pt1", listed=True, help="comma list of st|pt|pt1|pt2"),
+    "mode": _Key("pt1", _mode, True, help="comma list of st|pt|pt1|pt2"),
     "k": _Key("30", int, True, _at_least(1), "max fiber-level paths (comma list)"),
     "gb": _Key("0", int, True, _at_least(0), "guard-band slots (comma list)"),
     "load": _Key("75", float, True, _POSITIVE, "Erlang loads (comma list)"),
-    "seeds": _Key("0..4", help="'N' for 0..N-1, 'a..b', or comma list"),
+    "seeds": _Key("0..4", _parse_seeds, help="'N' for 0..N-1, 'a..b', or comma list"),
     "requests": _Key(20000, int, check=_at_least(1), help="connection requests per run"),
     "warmup": _Key(0.1, float, check=(lambda v: 0 <= v < 1, "0 <= warmup < 1"),
                    help="warm-up fraction excluded from metrics"),
@@ -80,12 +148,13 @@ _BUDGET = oracle.OracleLimits()  # larger instances raise BudgetExceeded in the 
 KEYS = {
     "simulate": {
         **_GRID,
-        "tr": _Key("10", listed=True, help="demand slots: fixed '10' or range '1-4' (comma list)"),
+        "tr": _Key("10", _demand("tr"), True,
+                   help="demand slots: fixed '10' or range '1-4' (comma list)"),
     },
     "probe": {
         **_GRID,
-        "bg_tr": _Key("1-4", help="background demand, e.g. '1-4'"),
-        "probe_tr": _Key("4-6", help="probe demand, e.g. '4-6'"),
+        "bg_tr": _Key("1-4", _demand("bg_tr"), help="background demand, e.g. '1-4'"),
+        "probe_tr": _Key("4-6", _demand("probe_tr", widen=True), help="probe demand, e.g. '4-6'"),
         "probes": _Key(50, int, check=(lambda v: v >= 1, "a probe count >= 1"),
                        help="probes per run"),
         "spacing": _Key(25, int, check=_at_least(1), help="background arrivals between probes"),
@@ -116,14 +185,6 @@ KEYS = {
     "topo-info": {"topology": _GRID["topology"], "slots": _GRID["slots"]},
 }
 
-# each mode token: its engine mode and differential-delay bound (None: --max-dd-us)
-_MODES = {"st": ("st", None), "pt": ("pt", None), "pt1": ("pt", M_US_PT1), "pt2": ("pt", M_US_PT2)}
-
-
-class ConfigError(ValueError):
-    pass
-
-
 def _read_topology(token: str) -> str:
     if token in ("us", "us_backbone"):
         return resources.files("flexrsa").joinpath("data/us_backbone.txt").read_text()
@@ -134,58 +195,6 @@ def _read_topology(token: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read topology {token!r}: {exc}") from exc
-
-
-def _cast(key: str, token, cast):
-    """``cast(token)``; a rejected value or a non-finite float is a ConfigError naming both."""
-    try:
-        value = cast(token)
-    except ValueError:
-        value = None
-    if value is None or (cast is float and not math.isfinite(value)):
-        expected = "finite float" if cast is float else cast.__name__
-        raise ConfigError(f"bad {key} {token!r}: expected {expected}")
-    return value
-
-
-def _parse_seeds(token: str) -> list[int]:
-    token = str(token).strip()
-    if ".." in token:
-        lo, hi = token.split("..", 1)
-        return list(range(_cast("seeds", lo, int), _cast("seeds", hi, int) + 1))
-    if "," in token:
-        return _parse_list("seeds", token, int)
-    return list(range(_cast("seeds", token, int)))
-
-
-_DEMAND = re.compile(r"([0-9]+)(?:\s*-\s*([0-9]+))?")
-
-
-def _parse_tr(key: str, token: str) -> int | tuple[int, int]:
-    """A demand ``N`` or range ``lo-hi`` with ``1 <= lo <= hi``."""
-    m = _DEMAND.fullmatch(str(token).strip())
-    if m is None or int(m[1]) < 1 or (m[2] is not None and int(m[2]) < int(m[1])):
-        raise ConfigError(f"bad {key} {token!r}: expected N or lo-hi with 1 <= lo <= hi")
-    return int(m[1]) if m[2] is None else (int(m[1]), int(m[2]))
-
-
-def _tr_max(tr: int | tuple[int, int]) -> int:
-    return tr if isinstance(tr, int) else tr[1]
-
-
-def _parse_list(key: str, token, cast=str) -> list:
-    return [_cast(key, t.strip(), cast) for t in str(token).split(",") if t.strip()]
-
-
-def _parse_modes(tokens: list[str], max_dd_us: float) -> list[tuple[str, str, float]]:
-    """Each token becomes (label, engine mode, differential-delay bound in us)."""
-    out = []
-    for tok in tokens:
-        if tok not in _MODES:
-            raise ConfigError(f"unknown mode {tok!r} (expected st|pt|pt1|pt2)")
-        mode, m_us = _MODES[tok]
-        out.append((tok, mode, max_dd_us if m_us is None else m_us))
-    return out
 
 
 def load_scenario(path: str) -> dict:
@@ -234,9 +243,9 @@ def _write_atomic(path: str, text: str):
 def _config(args: argparse.Namespace, scenario: dict | None = None) -> dict:
     """Every key of the command: its flag, else its scenario value, else its default.
 
-    Each value is cast and range-checked by its ``KEYS`` row.  A flag is read
-    as text, as a scenario value is, so a bad value gets the same message
-    either way.
+    Each value is cast and range-checked by its ``KEYS`` row, so the first
+    bad key in row order is the one reported.  A flag is read as text, as a
+    scenario value is, so a bad value gets the same message either way.
     """
     cfg = {}
     for key, row in KEYS[args.command].items():
@@ -244,7 +253,7 @@ def _config(args: argparse.Namespace, scenario: dict | None = None) -> dict:
         if value is None:
             value = (scenario or {}).get(key, row.default)
         if row.listed:
-            value = _parse_list(key, value, row.cast or str)
+            value = _parse_list(key, value, row.cast)
         elif row.cast:
             value = _cast(key, value, row.cast)
         if row.check:
@@ -257,28 +266,18 @@ def _config(args: argparse.Namespace, scenario: dict | None = None) -> dict:
 
 
 def _common_grid_config(args: argparse.Namespace) -> dict:
-    """``_config`` of a grid command, which reads ``--scenario`` too.
+    """``_config`` of a grid command, which reads ``--scenario`` too, then the checks of two keys.
 
-    The keys with their own parsers (``mode``, ``seeds`` and the demands)
-    are read after the rows, and so are the checks of two keys.  Every list
-    in the result is a grid axis and must not be empty.
+    Every list in the result is a grid axis and must not be empty, no demand
+    may exceed ``slots``, and a probe run must hold its last probe.
     """
     cfg = _config(args, load_scenario(args.scenario) if args.scenario else None)
-    cfg["mode"] = _parse_modes(cfg["mode"], cfg["max_dd_us"])
-    cfg["seeds"] = _parse_seeds(cfg["seeds"])
-    if args.command == "probe":
-        # the grid's demand axis is the background; probes draw from probe_tr
-        cfg["bg_tr"] = [_parse_tr("bg_tr", cfg["bg_tr"])]
-        probe_tr = _parse_tr("probe_tr", cfg["probe_tr"])
-        cfg["probe_tr"] = (probe_tr, probe_tr) if isinstance(probe_tr, int) else probe_tr
-        demands = cfg["bg_tr"] + [cfg["probe_tr"]]
-    else:
-        cfg["tr"] = demands = [_parse_tr("tr", t) for t in cfg["tr"]]
     for key, value in cfg.items():
         if value == []:
             raise ConfigError(f"empty grid: {key} gives no values")
+    demands = [cfg["bg_tr"], cfg["probe_tr"]] if args.command == "probe" else cfg["tr"]
     for tr in demands:
-        if _tr_max(tr) > cfg["slots"]:
+        if (tr[1] if isinstance(tr, tuple) else tr) > cfg["slots"]:
             raise ConfigError(f"demand {sim.label(tr)} exceeds {cfg['slots']} slots per link")
     if args.command == "probe":
         # the last probe follows arrival warm-up + (probes - 1) * spacing,
@@ -301,61 +300,59 @@ def _grid_net(cfg: dict) -> Network:
     )
 
 
-def _grid_cells(cfg: dict, demand: str, **extra) -> list[dict]:
+def _grid_cells(cfg: dict, demand: str, demands: list, **extra) -> list[dict]:
     """One cell per (mode, k, gb, tr, load, seed), nested in that order.
 
     ``demand`` names the cell's demand column, as in the command's output key,
-    and its axis in ``cfg``.  A cell's ``traffic`` is the offered traffic it
-    simulates at that demand.
+    and ``demands`` is its axis.  A cell's ``traffic`` is the offered traffic
+    it simulates at that demand, and its ``policy_params`` the policy that
+    serves it: the mode token's engine mode and bound M from ``_MODES``,
+    which for ``pt`` is ``max_dd_us``.
     """
     fiber = _fiber(cfg)
-    return [
-        {
-            "fiber": fiber,
-            "mode": mode,
-            "policy": label,
-            "m_us": m_us,
-            "k": k,
-            "gb": gb,
-            demand: tr,
-            "load": load,
-            "seed": seed,
-            "traffic": sim.TrafficConfig(
-                mean_holding=load,
-                requests=cfg["requests"],
-                seed=seed,
-                demand=tr,
-                warmup_frac=cfg["warmup"],
-            ),
-            **extra,
-        }
-        for label, mode, m_us in cfg["mode"]
-        for k in cfg["k"]
-        for gb in cfg["gb"]
-        for tr in cfg[demand]
-        for load in cfg["load"]
-        for seed in cfg["seeds"]
-    ]
-
-
-def _policy(cell: dict) -> PolicyParams:
-    return PolicyParams(
-        mode=cell["mode"],
-        k=cell["k"],
-        gb=cell["gb"],
-        max_dd_ps=int(round(cell["m_us"] * 1e6)),
-    )
+    cells = []
+    for label in cfg["mode"]:
+        mode, m_us = _MODES[label]
+        if m_us is None:
+            m_us = cfg["max_dd_us"]
+        cells += [
+            {
+                "fiber": fiber,
+                "policy": label,
+                "m_us": m_us,
+                "k": k,
+                "gb": gb,
+                demand: tr,
+                "load": load,
+                "seed": seed,
+                "policy_params": PolicyParams(mode, k, gb, int(round(m_us * 1e6))),
+                "traffic": sim.TrafficConfig(
+                    mean_holding=load,
+                    requests=cfg["requests"],
+                    seed=seed,
+                    demand=tr,
+                    warmup_frac=cfg["warmup"],
+                ),
+                **extra,
+            }
+            for k in cfg["k"]
+            for gb in cfg["gb"]
+            for tr in demands
+            for load in cfg["load"]
+            for seed in cfg["seeds"]
+        ]
+    return cells
 
 
 def _sim_cell(net: Network, cell: dict) -> sim.Metrics:
-    return sim.run(net, cell["traffic"], _policy(cell), cell["fiber"])
+    return sim.run(net, cell["traffic"], cell["policy_params"], cell["fiber"])
 
 
 def _probe_cell(net: Network, cell: dict) -> sim.ProbeMetrics:
     return sim.probe_run(
         net,
         cell["traffic"],
-        _policy(cell),
+        cell["policy_params"],
         cell["fiber"],
         probe_demand=cell["probe_tr"],
         probes=cell["probes"],
@@ -410,7 +407,7 @@ def _run_grid(net: Network, cells: list[dict], worker, jobs: int) -> list:
 def cmd_simulate(args) -> int:
     cfg = _common_grid_config(args)
     net = _grid_net(cfg)
-    cells = _grid_cells(cfg, "tr")
+    cells = _grid_cells(cfg, "tr", cfg["tr"])
     entries = list(zip(cells, _run_grid(net, cells, _sim_cell, cfg["jobs"])))
     out = _out_dir(cfg)
     _write_atomic(os.path.join(out, "metrics.csv"), sim.metrics_csv(entries))
@@ -426,6 +423,7 @@ def cmd_probe(args) -> int:
     cells = _grid_cells(
         cfg,
         "bg_tr",
+        [cfg["bg_tr"]],
         probe_tr=cfg["probe_tr"],
         probes=cfg["probes"],
         spacing=cfg["spacing"],

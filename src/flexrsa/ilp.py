@@ -87,7 +87,7 @@ class Constraint(NamedTuple):
     name: str
     family: str
     coeffs: tuple[tuple[str, int | Fraction], ...]
-    relation: str  # "<=" | ">=" | "="
+    relation: str  # "<=" | "=": build_model emits no other
     rhs: int | Fraction
 
 
@@ -419,9 +419,6 @@ def check_assignment(model: ConstraintSystem, assignment: Mapping[str, int]) -> 
         if relation == "<=":
             if lhs <= rhs:
                 continue
-        elif relation == ">=":
-            if lhs >= rhs:
-                continue
         elif lhs == rhs:
             continue
         violations.append((family, idx))
@@ -578,15 +575,13 @@ def _parse_expr(text: str, terms: _Memo) -> tuple[tuple[str, int | Fraction], ..
 
 _SECTIONS = {
     "minimize": "objective",
-    "maximize": "objective",
     "subject to": "constraints",
     "bounds": "bounds",
     "binaries": "binaries",
     "generals": "generals",
-    "general": "generals",
     "end": "end",
 }
-_RELATIONS = {rel: rel for rel in ("<=", ">=", "=")}
+_RELATIONS = {rel: rel for rel in ("<=", "=")}
 
 
 def parse_lp(text: str) -> ConstraintSystem:
@@ -595,8 +590,6 @@ def parse_lp(text: str) -> ConstraintSystem:
     Each row is one line plus the continuation lines that :func:`_wrap`
     split off; variables are declared in Binaries-then-Generals order.
     """
-    if "\\" in text:  # drop comments
-        text = "\n".join(line.split("\\", 1)[0] for line in text.splitlines())
     section = None
     obj_lines: list[str] = []
     rows: list[list[str]] = []  # [name, text] per constraint row

@@ -33,7 +33,6 @@ class OracleLimits:
 
 @dataclass(frozen=True)
 class OracleBand:
-    path_index: int
     route: Route
     range: SlotRange
 
@@ -42,7 +41,6 @@ class OracleBand:
 class OracleResult:
     cost: int
     bands: tuple[OracleBand, ...]
-    paths: tuple[Route, ...]
 
 
 class _Budget:
@@ -239,7 +237,7 @@ def exact_solve(
                 tuple(sorted((pi, rng.start, rng.length) for pi, _, rng, _ in chosen)),
             )
             bands = tuple(
-                OracleBand(pi, routes[pi], rng)
+                OracleBand(routes[pi], rng)
                 for pi, _, rng, _ in sorted(chosen, key=lambda c: (c[0], c[2].start))
             )
             if best is None or (cost, key) < (best[0], best[1]):
@@ -261,4 +259,4 @@ def exact_solve(
     search(0, [], 0)
     if best is None:
         return None
-    return OracleResult(best[0], best[2], tuple(routes))
+    return OracleResult(best[0], best[2])

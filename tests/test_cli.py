@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from flexrsa import cli, heuristic, oracle, sim
+from flexrsa import cli, crossval, heuristic, oracle, sim
 from flexrsa.cli import main
 
 from util import circulant_15_text
@@ -448,6 +448,16 @@ class TestSimulate:
         scn.write_text("frobnicate = 1\n")
         assert main(["simulate", "--scenario", str(scn)]) == 2
         assert "unknown scenario keys" in capsys.readouterr().err
+
+    def test_unreadable_scenario_rejected(self, tmp_path, capsys):
+        scn = tmp_path / "s.scn"
+        scn.write_text("topology = abilene\n\nk 3\n")
+        assert main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {scn}:3: expected 'key = value'\n"
+        missing = tmp_path / "missing.scn"
+        assert main(["simulate", "--scenario", str(missing), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read scenario {str(missing)!r}: ")
+        assert not (tmp_path / "o").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = [
@@ -956,6 +966,7 @@ class TestExportIlp:
              "bad pair (Seattle, Seattle): source and destination must differ"),
             # the default source is the first node
             (["--dst", "Seattle"], "bad pair (Seattle, Seattle)"),
+            (["--src", "Atlantis"], "unknown node in pair (Atlantis, NewYork)"),
         ],
     )
     def test_bad_input_rejected(self, tmp_path, capsys, flags, message):
@@ -987,6 +998,16 @@ class TestExportIlp:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "bad tr 5 for C -> D: demand 5 exceeds the capacity |P|*|F| = 1*4 = 4" in err
+        assert not lp_out.exists()
+
+    def test_pair_without_a_path_rejected(self, tmp_path, capsys):
+        topo = tmp_path / "two_parts.txt"
+        topo.write_text("node A\nnode B\nnode C\nnode D\nlink A B 100\nlink C D 100\n")
+        lp_out = tmp_path / "m.lp"
+        rc = main(["export-ilp", "--topology", str(topo), "--slots", "4", "--src", "A",
+                   "--dst", "D", "--out", str(lp_out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: no path from A to D\n"
         assert not lp_out.exists()
 
     def test_demand_at_capacity_accepted(self, tmp_path, capsys):
@@ -1029,6 +1050,12 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and message in captured.err
         assert "Traceback" not in captured.err and "passed" not in captured.out
+
+    def test_failures_are_reported_and_exit_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(crossval, "cross_validate", lambda *args, **kwargs: ["instance 3: cost 5 != 4"])
+        assert main(["oracle-check", "--seed", "7", "--instances", "2"]) == 1
+        out = capsys.readouterr().out
+        assert out == "FAIL instance 3: cost 5 != 4\n1 cross-validation failure(s) over 2 instances\n"
 
     def test_bounds_follow_the_oracle_budget(self, capsys):
         budget = oracle.OracleLimits()

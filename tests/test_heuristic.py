@@ -172,6 +172,10 @@ class TestPhase1:
     def test_unknown_nodes_rejected(self):
         with pytest.raises(ValueError):
             compute_fiber_paths(US_NET, "Nowhere", "Miami", 2)
+        with pytest.raises(ValueError, match="unknown destination 'Nowhere'"):
+            compute_fiber_paths(US_NET, "Miami", "Nowhere", 2)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            compute_fiber_paths(US_NET, "Seattle", "Miami", 0)
 
 
 class TestRouteTable:
@@ -468,6 +472,19 @@ class TestServe:
         release_solution(state, sol)
         assert state.is_all_free()
 
+    def test_release_of_an_unallocated_plan_rejected(self):
+        state = SpectrumState(US_NET)
+        routes = compute_fiber_paths(US_NET, "Seattle", "Miami", 2)
+        plan = assign_spectrum(state, routes, Request("Seattle", "Miami", 4), PolicyParams())
+        assert plan is not None
+        with pytest.raises(ValueError, match="solution was never allocated"):
+            release_solution(state, plan)
+        assert state.is_all_free()
+
+    def test_negative_guard_band_rejected(self):
+        with pytest.raises(ValueError, match="gb and max_dd_ps must be non-negative"):
+            PolicyParams(gb=-1)
+
     def test_st_single_band_always(self):
         rng = random.Random(3)
         state = SpectrumState(US_NET)
@@ -538,6 +555,16 @@ class TestServe:
         sol = serve(state, net, Request("Seattle", "Miami", 4), policy, path_cache=cache)
         assert sol is not None and sol.paths[0].arcs == second.arcs
         assert cache == {("Seattle", "Miami", 3): [second]}
+
+    def test_empty_path_cache_is_filled_with_the_pairs_routes(self):
+        # a key missing from a caller's path_cache is filled by the eager search
+        net = load_topology(US_TEXT, slots_per_link=16)
+        cache = {}
+        sol = serve(SpectrumState(net), net, Request("Seattle", "Miami", 4),
+                    PolicyParams(mode="st", k=3), path_cache=cache)
+        expected = tuple(compute_fiber_paths(net, "Seattle", "Miami", 3))
+        assert cache == {("Seattle", "Miami", 3): expected}
+        assert sol is not None and sol.paths[0].arcs == expected[0].arcs
 
     def test_phase2_inspection_ceiling(self):
         stats = {}

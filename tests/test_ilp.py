@@ -84,6 +84,8 @@ class TestModelShape:
             ilp.build_model(net, "S", "D", 1, [], slots=4)
         with pytest.raises(ilp.ModelError):
             ilp.build_model(net, "S", "D", 1, compute_fiber_paths(net, "S", "D", 1), slots=0)
+        with pytest.raises(ilp.ModelError, match="candidate path with no arcs"):
+            ilp.build_model(net, "S", "D", 1, [()], slots=4)
 
     @pytest.mark.parametrize(
         "demand, gb, max_dd_ps, name",
@@ -214,6 +216,13 @@ class TestCheckAssignment:
         _, _, model = diamond_model()
         with pytest.raises(ilp.ModelError):
             ilp.check_assignment(model, {})
+
+    def test_bands_need_the_models_metadata_and_one_entry_per_path(self):
+        _, _, model = diamond_model()
+        with pytest.raises(ilp.ModelError, match="model has no instance metadata"):
+            ilp.assignment_from_bands(ilp.parse_lp(ilp.export_lp(model)), [None, None])
+        with pytest.raises(ilp.ModelError, match="expected 2 band entries, got 1"):
+            ilp.assignment_from_bands(model, [None])
 
     def test_bounds_reported(self):
         _, _, model = diamond_model()
@@ -525,6 +534,17 @@ class TestRoundTripOrder:
         text = ilp.export_lp(model).replace(" T_p1 ", " T_p9 ", 1)
         with pytest.raises(ilp.ModelError, match="T_p9"):
             ilp.parse_lp(text)
+
+    def test_greater_equal_row_rejected(self):
+        # export_lp writes only "=" and "<=" rows, and the parser reads only those
+        _, _, model = diamond_model()
+        text = ilp.export_lp(model)
+        assert " >= " not in text
+        name = model.constraints[0].name
+        row = next(line for line in text.splitlines() if line.startswith(f" {name}: "))
+        bad = row.rsplit(" ", 2)[0] + " >= " + row.rsplit(" ", 1)[1]
+        with pytest.raises(ilp.ModelError, match=f"row {name} has no relation"):
+            ilp.parse_lp(text.replace(row, bad, 1))
 
 
 def _random_bands(model, rng, count):

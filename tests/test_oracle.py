@@ -59,6 +59,9 @@ class TestExactSolve:
         state = SpectrumState(net)
         with pytest.raises(oracle.BudgetExceeded):
             oracle.exact_solve(net, state, "n0", "n8", 1)
+        wide = make_net([("S", "D", 100)], slots=oracle.OracleLimits().max_slots + 1)
+        with pytest.raises(oracle.BudgetExceeded, match="17 slots exceed limit 16"):
+            oracle.exact_solve(wide, SpectrumState(wide), "S", "D", 1)
 
     def test_same_path_bands_use_distinct_blocks(self):
         net = make_net([("S", "D", 100)], slots=8)

@@ -49,6 +49,10 @@ class TestGvd:
         with pytest.raises(ValueError):
             gvd_differential_delay_ps(FiberParams(), 0, 100.0)
 
+    def test_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="negative length: -1.0"):
+            gvd_differential_delay_ps(FiberParams(), 2, -1.0)
+
     @given(
         slots=st.integers(min_value=1, max_value=64),
         length=st.floats(min_value=0.0, max_value=2.0e4, allow_nan=False),

@@ -49,6 +49,11 @@ class TestFreeBlocks:
         with pytest.raises(SpectrumError):
             state.free_blocks((), 0)
 
+    def test_negative_guard_band_rejected(self):
+        _, state, path = single_arc_state()
+        with pytest.raises(SpectrumError, match="negative guard band: -1"):
+            state.free_blocks(path, -1)
+
     def test_disconnected_path_rejected(self):
         net = make_net([("A", "B", 100), ("C", "D", 100)], slots=8)
         a_b = net.outgoing("A")[0]
@@ -248,6 +253,11 @@ class TestAllocate:
             state.allocate(path, SlotRange(-1, 2), 0)
         with pytest.raises(SpectrumError):
             state.allocate(path, SlotRange(0, 0), 0)
+        with pytest.raises(SpectrumError, match="negative guard band: -1"):
+            state.allocate(path, SlotRange(0, 2), -1)
+        with pytest.raises(SpectrumError, match="empty path"):
+            state.allocate((), SlotRange(0, 2), 0)
+        assert state.is_all_free()
 
 
 class TestRelease:

@@ -43,6 +43,21 @@ class TestLoad:
     def test_self_loop(self):
         with pytest.raises(TopologyError, match="self-loop"):
             load_topology("node a\nlink a a 5\n", slots_per_link=8)
+        with pytest.raises(TopologyError, match="self-loop at node 'a'"):
+            Link(0, "a", "a", 5.0, 0)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("node a b\n", "line 1: expected 'node <id>'"),
+            ("node a\nnode b\nlink a b\n", "line 3: expected 'link <src> <dst> <length_km>'"),
+            ("node a\nnode b\nlink c a 10\n", "line 3: link endpoint 'c' not declared"),
+        ],
+        ids=["node-tokens", "link-tokens", "undeclared-source"],
+    )
+    def test_malformed_line_names_the_line(self, text, message):
+        with pytest.raises(TopologyError, match=message):
+            load_topology(text, slots_per_link=8)
 
     def test_unknown_directive_with_line_number(self):
         with pytest.raises(TopologyError, match="line 2"):
@@ -94,6 +109,20 @@ class TestInvariants:
         )
         with pytest.raises(TopologyError, match="twin|reversed"):
             Network(("A", "B", "C"), arcs, slots_per_link=4)
+
+    @pytest.mark.parametrize(
+        "nodes, ids, message",
+        [
+            (("A", "B", "A"), (0, 1), "duplicate node id"),
+            (("A", "C"), (0, 1), "arc 0 references unknown node"),
+            (("A", "B"), (0, 2), "arc ids must be dense, found 2 at index 1"),
+        ],
+        ids=["duplicate-node", "unknown-node", "sparse-ids"],
+    )
+    def test_network_checks_nodes_and_arc_ids(self, nodes, ids, message):
+        arcs = (Link(ids[0], "A", "B", 100.0, 1), Link(ids[1], "B", "A", 100.0, 1))
+        with pytest.raises(TopologyError, match=message):
+            Network(nodes, arcs, slots_per_link=4)
 
     @pytest.mark.parametrize("length_km, delay_ps, reason", [(-1.0, 0, "length"), (100.0, -1, "delay")])
     def test_negative_arc_attributes_rejected(self, length_km, delay_ps, reason):
