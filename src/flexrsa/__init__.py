@@ -4,7 +4,7 @@ a two-phase multipath heuristic, an exportable per-request constraint system,
 an exhaustive test oracle, and a seeded dynamic-traffic simulator.
 """
 
-from .heuristic import PolicyParams, Request, Route, Solution, assign_spectrum, compute_fiber_paths, serve
+from .heuristic import PolicyParams, Request, Route, Solution, assign_spectrum, serve
 from .physics import FiberParams, gvd_differential_delay_ps, slot_width_nm
 from .spectrum import SlotRange, SpectrumPath, SpectrumState
 from .topology import Link, Network, TopologyError, load_topology
@@ -22,7 +22,6 @@ __all__ = [
     "SpectrumState",
     "TopologyError",
     "assign_spectrum",
-    "compute_fiber_paths",
     "gvd_differential_delay_ps",
     "load_topology",
     "serve",

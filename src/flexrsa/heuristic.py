@@ -27,8 +27,7 @@ equal delays, once the frontier can give no path as fast as its last, so the
 paths tied with the last one asked for are found too.  A search is dropped
 once it is settled at the largest K asked: a smaller K reads a prefix, a
 larger K searches the pair again, and a pair with fewer paths than asked is
-never searched again.  :func:`compute_fiber_paths` runs the same search to K
-at once, outside the memo.
+never searched again.
 
 Every ``Network`` is fiber pairs (arc 2k+1 is arc 2k reversed, with the same
 delay).  So the nodes that reach a destination are the nodes it reaches, and
@@ -191,12 +190,6 @@ class _Search:
     __slots__ = ("destination", "onward", "links", "k", "frontier", "found")
 
     def __init__(self, net: Network, source: str, destination: str, k: int):
-        if not net.has_node(source):
-            raise ValueError(f"unknown source {source!r}")
-        if not net.has_node(destination):
-            raise ValueError(f"unknown destination {destination!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         table = net.bound_memo.get(destination)
         if table is None:  # the first search towards this destination
             table = net.bound_memo[destination] = _search_table(net, destination)
@@ -248,14 +241,13 @@ def compute_fiber_paths(
     k: int,
     stats: dict | None = None,
 ) -> list[Route]:
-    """Up to ``k`` loop-free paths in nondecreasing delay order.
+    """Up to ``k`` routes in delay order, as a list: a whole read of :func:`pair_routes`.
 
-    Deterministic: equal-delay paths order by node sequence, then arc ids
-    (parallel arcs).  Returns fewer than ``k`` only when fewer exist.
+    A search that the read causes counts in ``stats``.  In the package, only
+    the ``path_cache`` of :func:`serve` calls it.
     """
-    search = _Search(net, source, destination, k)
-    search.run(k, stats)
-    return search.found[:k]  # the run tied with the k-th path may go past it
+    routes = pair_routes(net, source, destination, k)
+    return list(routes.read(stats) if type(routes) is _RouteView else routes)
 
 
 def _route_order(route: Route) -> tuple:
@@ -370,13 +362,20 @@ def pair_routes(net: Network, source: str, destination: str, k: int) -> Sequence
     """The pair's first ``k`` routes from ``net.route_memo``, searched only as far as read.
 
     A tuple when the pair's table holds them; otherwise a view that grows
-    the table as a reader iterates it (see :func:`assign_spectrum`).
+    the table as a reader iterates it (see :func:`assign_spectrum`).  Every
+    route the package reads comes from here.
     """
     table = net.route_memo.get((source, destination))
     if table is not None:
         routes = table.prefixes.get(k)
-        if routes is not None:
+        if routes is not None:  # only checked pairs and K reach the memo
             return routes
+    if not net.has_node(source):
+        raise ValueError(f"unknown source {source!r}")
+    if not net.has_node(destination):
+        raise ValueError(f"unknown destination {destination!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     table = _route_table(net, source, destination, k)
     if table.covers(k):  # sliced once and kept for later callers
         routes = table.prefixes[k] = tuple(table.routes[:k])

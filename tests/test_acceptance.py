@@ -99,9 +99,7 @@ def test_05_linearization_exhaustive():
 
     def holds(con, env):
         lhs = sum(env[n] * c for n, c in con.coeffs)
-        return lhs <= con.rhs if con.relation == "<=" else (
-            lhs >= con.rhs if con.relation == ">=" else lhs == con.rhs
-        )
+        return lhs <= con.rhs if con.relation == "<=" else lhs == con.rhs
 
     gamma_cons = [
         c for c in model.constraints_by_family("lin-gamma")

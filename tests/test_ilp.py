@@ -158,8 +158,6 @@ class TestLinearizations:
         lhs = sum(Fraction(env[n]) * c for n, c in con.coeffs)
         if con.relation == "<=":
             return lhs <= con.rhs
-        if con.relation == ">=":
-            return lhs >= con.rhs
         return lhs == con.rhs
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from flexrsa import sim
-from flexrsa.heuristic import MODE_PARALLEL, Request, Solution, assign_spectrum, compute_fiber_paths
+from flexrsa.heuristic import MODE_PARALLEL, Request, Route, Solution, assign_spectrum
 from flexrsa.physics import gvd_differential_delay_ps
 from flexrsa.spectrum import SlotRange, SpectrumPath, SpectrumState, ranges_clear
 from flexrsa.topology import Network, load_topology
@@ -43,6 +44,27 @@ def paint(state: SpectrumState, link, bits: str):
         elif ch != "1" and start is not None:
             state.allocate((link,), SlotRange(start, i - start), 0)
             start = None
+
+
+def reference_fiber_paths(net: Network, source: str, destination: str, k: int) -> list[Route]:
+    """The plain best-first enumerator that the goal-directed search replaced.
+
+    The heap key is (delay, node sequence, arc ids), with no bound, no memo
+    and no twin rule; every prefix of a path ranks before it, so complete
+    paths pop in the order that every read of the route memo must follow.
+    """
+    found: list[Route] = []
+    heap = [(0, (source,), ())]
+    while heap and len(found) < k:
+        delay, nodes, arc_ids = heapq.heappop(heap)
+        if nodes[-1] == destination:
+            found.append(Route(tuple(net.links[a] for a in arc_ids), nodes, delay))
+            continue
+        for link in net.outgoing(nodes[-1]):
+            if link.dst not in nodes:
+                key = (delay + link.delay_ps, nodes + (link.dst,), arc_ids + (link.id,))
+                heapq.heappush(heap, key)
+    return found
 
 
 def oracle_blocks(occupied_rows: list[str], gb: int) -> list[tuple[int, int]]:
@@ -159,9 +181,6 @@ def milp_solve(model):
         if con.relation == "<=":
             lbs.append(-np.inf)
             ubs.append(rhs)
-        elif con.relation == ">=":
-            lbs.append(rhs)
-            ubs.append(np.inf)
         else:
             lbs.append(rhs)
             ubs.append(rhs)
@@ -196,7 +215,7 @@ def reference_check_assignment(model, assignment) -> list[tuple[str, int]]:
         seen[con.family] = idx + 1
         lhs = sum((Fraction(c) * Fraction(assignment[n]) for n, c in con.coeffs), Fraction(0))
         rhs = Fraction(con.rhs)
-        holds = {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[con.relation]
+        holds = {"<=": lhs <= rhs, "=": lhs == rhs}[con.relation]
         if not holds:
             violations.append((con.family, idx))
     return violations
@@ -270,7 +289,7 @@ def reference_probe_run(net, traffic, policy, fiber_params=None, *, probe_demand
             return
         src, dst = pairs[probe_pairs.randrange(len(pairs))]
         req = Request(src, dst, probe_demand_rng.randint(*probe_demand))
-        routes = compute_fiber_paths(net, src, dst, policy.k)
+        routes = reference_fiber_paths(net, src, dst, policy.k)
         done += 1
         if assign_spectrum(state, routes, req, policy) is None:
             blocked += 1
